@@ -33,11 +33,12 @@ test:
 	$(GO) test ./...
 
 ## race: the packages exercised concurrently (wall-clock gateway, the
-## runtime policies it shares with the simulator, the telemetry
-## collector both planes feed from many goroutines, the loadgen worker
-## pool, and the COW function registry).
+## runtime instance machine and policies it shares with the simulator,
+## the telemetry collector both planes feed from many goroutines, the
+## loadgen worker pool, and the COW function registry) — the same list
+## as check.sh's race pass.
 race:
-	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/loadgen/... ./internal/core/...
+	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE ./...

@@ -175,6 +175,7 @@ func TestSingleDef(t *testing.T) {
 		},
 		Forbidden: []ForbiddenDecl{
 			{KindType, "rateEstimator", "internal/runtime", "test"},
+			{KindConst, "dispatchAllowance", "internal/runtime", "test"},
 		},
 	}
 	diags := RunAll(u, []*Analyzer{SingleDefAnalyzer})
@@ -182,6 +183,7 @@ func TestSingleDef(t *testing.T) {
 		"func Anchor must be defined exactly once",
 		"func Missing is not defined anywhere",
 		"forbidden type rateEstimator outside internal/runtime",
+		"forbidden const dispatchAllowance outside internal/runtime",
 	}
 	if len(diags) != len(expect) {
 		t.Fatalf("want %d diagnostics, got %d: %v", len(expect), len(diags), diags)

@@ -52,15 +52,18 @@ func runSingleDef(u *Unit) []Diagnostic {
 					}
 					decls = append(decls, topDecl{kind, recv, d.Name.Name, pkg, file, d.Pos()})
 				case *ast.GenDecl:
-					if d.Tok != token.TYPE {
-						continue
-					}
 					for _, spec := range d.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							decls = append(decls, topDecl{KindType, "", spec.Name.Name, pkg, file, spec.Pos()})
+						case *ast.ValueSpec:
+							if d.Tok != token.CONST {
+								continue
+							}
+							for _, name := range spec.Names {
+								decls = append(decls, topDecl{KindConst, "", name.Name, pkg, file, name.Pos()})
+							}
 						}
-						decls = append(decls, topDecl{KindType, "", ts.Name.Name, pkg, file, ts.Pos()})
 					}
 				}
 			}

@@ -1,5 +1,5 @@
 // Package sdstray re-declares singledef-guarded names outside their
-// home file, plus a forbidden private policy type.
+// home file, plus a forbidden private policy type and constant.
 package sdstray
 
 // Anchor duplicates the guarded function.
@@ -9,3 +9,7 @@ func Anchor() int { return 2 }
 type rateEstimator struct{}
 
 var _ = rateEstimator{}
+
+// dispatchAllowance re-grows a guessed wall-clock allowance outside
+// internal/runtime.
+const dispatchAllowance = 1500

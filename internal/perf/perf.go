@@ -211,10 +211,16 @@ func init() {
 func Class(name string) *OpClass {
 	c, ok := Catalog[name]
 	if !ok {
-		panic("perf: unknown operator class " + name)
+		unknownClass(name)
 	}
 	return c
 }
+
+// unknownClass is Class's failure: the panic message is built only on
+// this path, off the allocation-free batch pricing.
+//
+//lint:coldpath
+func unknownClass(name string) { panic("perf: unknown operator class " + name) }
 
 // OpTime returns the deterministic (noise-free) execution time of one
 // operator invocation processing a batch of b inputs, each of input scale

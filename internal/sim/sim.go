@@ -7,17 +7,16 @@
 // scaling — mirroring how the paper's large-scale simulation "runs
 // INFless's real code and scheduling logic against simulated machines".
 //
-// The policy side of both lifecycles — batch-timeout derivation, Eq. 1
-// admission, arrival-rate estimation, instance-pool bookkeeping, and the
-// lifecycle-observer hooks — lives in internal/runtime and is shared
-// verbatim with the wall-clock gateway (internal/gateway), so the code
-// this engine validates is the code the live serving path runs. The
-// engine is organized as:
+// The instance lifecycle — batching, startup pricing, served samples,
+// keep-alive, reclaim — and the lifecycle policies are internal/runtime's,
+// shared with the wall-clock gateway, so the code this engine validates
+// is the code the live serving path runs. The engine keeps routing, the
+// pending backlog, autoscaling ticks, pre-warming, failures and chains:
 //
 //	sim.go        controller interfaces, run configuration, function specs
 //	engine.go     Engine construction, the Run loop, results, chains
-//	lifecycle.go  request lifecycle: arrival → route → enqueue → batch → complete
-//	instances.go  instance lifecycle: launch → warm → idle → reclaim, failures
+//	lifecycle.go  request lifecycle: arrival → route → enqueue → complete
+//	instances.go  the instance machine's simclock driver: launch, reclaim, failures
 //	observers.go  built-in runtime.Observer sinks (recorders, provisioning)
 package sim
 
@@ -83,14 +82,6 @@ type Config struct {
 	ScaleInterval time.Duration
 	// RateWindow is the arrival-rate estimation window (default 10s).
 	RateWindow time.Duration
-	// WarmStartTime is the activation cost of launching from a
-	// pre-warmed image (default 50ms; a full cold start instead pays
-	// perf.ColdStartTime of the model).
-	WarmStartTime time.Duration
-	// Contention / ExecNoiseSD configure ground-truth execution; defaults
-	// follow model.DefaultExecOptions.
-	Contention  float64
-	ExecNoiseSD float64
 	// Collector, when set, is the telemetry collector the engine feeds
 	// (a platform can share one collector across planes or read it while
 	// the run progresses). When nil the engine creates its own from
@@ -140,15 +131,6 @@ func (c *Config) defaults() {
 	}
 	if c.RateWindow == 0 {
 		c.RateWindow = 10 * time.Second
-	}
-	if c.WarmStartTime == 0 {
-		c.WarmStartTime = 50 * time.Millisecond
-	}
-	if c.Contention == 0 {
-		c.Contention = 0.35
-	}
-	if c.ExecNoiseSD == 0 {
-		c.ExecNoiseSD = 0.025
 	}
 }
 

@@ -1,9 +1,10 @@
 #!/bin/sh
 # scripts/check.sh is the tier-1 gate: formatting, build + vet, full
-# test suite, a race pass over the concurrently-exercised packages (the
-# shared internal/runtime policies, the wall-clock gateway that calls
-# them from many goroutines, and the sharded cluster + scheduler whose
-# FitPool fans fit-queries across workers), a sharded-equivalence smoke
+# test suite (plus perfbench's own), a race pass over the
+# concurrently-exercised packages (the shared internal/runtime instance
+# machine and policies, the wall-clock gateway that drives them from many
+# goroutines, and the sharded cluster + scheduler whose FitPool fans
+# fit-queries across workers), a sharded-equivalence smoke
 # (every Schedule decision bit-identical to the single-shard reference),
 # and infless-lint — the AST/types-based
 # analyzer suite (cmd/infless-lint) that replaced the old grep guards:
@@ -44,6 +45,8 @@ if [ "$lint_elapsed" -gt 60 ]; then
 fi
 echo "== go test"
 go test ./...
+echo "== go test (perfbench, a module of its own that wraps sim, runtime and gateway)"
+(cd perfbench && go test ./...)
 echo "== go test -race (gateway + runtime + telemetry + sim + loadgen + core)"
 go test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/...
 echo "== go test -race (sharded control plane: cluster + scheduler)"
