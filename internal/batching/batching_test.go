@@ -208,7 +208,7 @@ func TestQueueFillAndDrain(t *testing.T) {
 	if !acc || !full {
 		t.Fatalf("4th add should fill the batch (accepted=%v full=%v)", acc, full)
 	}
-	batch, oldest, ok := q.Drain(3 * time.Millisecond)
+	batch, oldest, ok := q.Drain(nil, 3*time.Millisecond)
 	if !ok || len(batch) != 4 || oldest != 0 {
 		t.Fatalf("drain = %v, oldest %v, ok %v", batch, oldest, ok)
 	}
@@ -248,7 +248,7 @@ func TestQueuePartialDrain(t *testing.T) {
 	q := NewQueue[int](4, time.Second)
 	q.Add(1, 10*time.Millisecond)
 	q.Add(2, 20*time.Millisecond)
-	batch, oldest, ok := q.Drain(500 * time.Millisecond)
+	batch, oldest, ok := q.Drain(nil, 500*time.Millisecond)
 	if !ok || len(batch) != 2 || oldest != 10*time.Millisecond {
 		t.Fatalf("partial drain = %v oldest %v", batch, oldest)
 	}

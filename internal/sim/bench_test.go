@@ -39,7 +39,7 @@ func BenchmarkEngineEnqueue(b *testing.B) {
 		if inst.Queue.Len() >= 31 {
 			// Stay below the full-batch trigger; drain cheaply by hand.
 			b.StopTimer()
-			inst.Queue.Drain(e.Now())
+			inst.Queue.Drain(nil, e.Now())
 			b.StartTimer()
 		}
 	}
