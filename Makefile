@@ -10,9 +10,10 @@ check:
 ## lint: the static-analysis suite (wallclock, maporder, singledef,
 ## serverscan, lockedcallback, and the flow-sensitive lockorder,
 ## atomicsnapshot, poolcontract, hotalloc, errflow, goroutinelife,
-## chanlife, ctxflow — see internal/analysis). Analyzers run in
-## parallel with input-ordered output. Prints its own wall time;
-## check.sh enforces a 60s budget on the same run.
+## chanlife, ctxflow — see internal/analysis). One function index is
+## built up front; the analyzers then run in parallel on it with
+## input-ordered output. Prints its own wall time; check.sh enforces a
+## 60s budget on the same run.
 lint:
 	@start=$$(date +%s); \
 	$(GO) run ./cmd/infless-lint ./... || exit $$?; \
@@ -36,9 +37,11 @@ test:
 ## runtime instance machine and policies it shares with the simulator,
 ## the telemetry collector both planes feed from many goroutines, the
 ## loadgen worker pool, and the COW function registry) — the same list
-## as check.sh's race pass.
+## as check.sh's race pass — plus the lint analyzers, which read one
+## shared function index concurrently.
 race:
 	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/...
+	$(GO) test -race -run 'TestDriverCleanOnRepo|TestDriverSeededFlowViolations' ./internal/analysis/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE ./...

@@ -5,9 +5,9 @@
 // analyzers and the concurrency-lifecycle trio goroutinelife /
 // chanlife / ctxflow, all built on its CFG+dataflow+alias layer. It
 // loads the whole module with go/parser + go/types (standard library
-// only), fans the analyzers out in parallel with deterministic
-// input-ordered output, and exits non-zero on any unsuppressed
-// diagnostic.
+// only), builds one shared function index, fans the analyzers out in
+// parallel with deterministic input-ordered output, and exits non-zero
+// on any unsuppressed diagnostic.
 //
 // Usage:
 //
@@ -20,8 +20,8 @@
 // message, suppressed} objects — suppressed findings are included for
 // audit but never affect the exit code. CI turns the unsuppressed ones
 // into GitHub ::error annotations. -list prints the registered analyzer
-// names (one per line) and exits; CI greps it so an analyzer cannot
-// silently drop out of the roster.
+// names (one per line) and exits; TestAnalyzerRoster pins the same
+// roster, in order, so an analyzer cannot silently drop out.
 //
 // Suppress a finding with a justified directive on the same line or the
 // line above:

@@ -7,7 +7,8 @@ package analysis
 // INsensitive (a may-analysis over all assignments in the body, no heap
 // modeling, no kill on reassignment): the flow-sensitive analyzers
 // built on top (atomicsnapshot, poolcontract, hotalloc) combine it with
-// their own CFG facts when path sensitivity matters. Function literals
+// their own CFG facts when path sensitivity matters. The function index
+// builds one map per root (index.go). Function literals
 // are separate roots, exactly as in the CFG: a closure's assignments
 // never feed the enclosing body's alias map.
 //
@@ -64,10 +65,8 @@ func buildAliasMap(info *types.Info, body ast.Node) *aliasMap {
 	if body == nil {
 		return a
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
+	each(body, func(n ast.Node) {
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.AssignStmt:
 			a.assign(n)
 		case *ast.RangeStmt:
@@ -75,7 +74,6 @@ func buildAliasMap(info *types.Info, body ast.Node) *aliasMap {
 		case *ast.DeclStmt:
 			a.decl(n)
 		}
-		return true
 	})
 	return a
 }
@@ -206,6 +204,20 @@ func (a *aliasMap) sources(obj types.Object, elem bool, visited map[types.Object
 		}
 		*out = append(*out, aliasSource{Expr: e, Elem: elem || d.elem})
 	}
+}
+
+// everySource reports whether obj has a recorded definition and every
+// alias source is a zero value (a nil container is unaliased) or an
+// expression ok accepts. Parameters, captures and elements drawn out of
+// containers are never accepted.
+func (a *aliasMap) everySource(obj types.Object, ok func(ast.Expr) bool) bool {
+	srcs := a.Sources(obj)
+	for _, src := range srcs {
+		if !src.Zero && (src.Unknown || src.Elem || src.Expr == nil || !ok(src.Expr)) {
+			return false
+		}
+	}
+	return len(srcs) > 0
 }
 
 // Root resolves pure ident-copy chains (`y := x` and nothing else) to

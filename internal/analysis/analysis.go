@@ -5,7 +5,8 @@
 // packages and the single-sourcing of runtime policies extracted in the
 // shared internal/runtime layer.
 //
-// Ten analyzers run over the whole module:
+// Thirteen analyzers run over the whole module. Five guard determinism,
+// single definitions, placement and the notify-outside-locks rule:
 //
 //   - wallclock:      no wall-clock time or global math/rand in the
 //     deterministic packages; time flows through simclock, randomness
@@ -20,12 +21,12 @@
 //   - serverscan:     the scheduler never scans Cluster.Servers();
 //     placement goes through the free-capacity index (BestFit/FirstFit).
 //   - lockedcallback: runtime.Observer callbacks and telemetry
-//     Collector entry points are never invoked between a mutex Lock and
-//     its Unlock in the gateway or telemetry packages.
+//     Collector entry points are never invoked, directly or through a
+//     same-package helper, on a path where a mutex is held in the
+//     gateway, telemetry or core packages.
 //
-// Five further analyzers are flow-sensitive, built on the package's
-// CFG + dataflow layer (cfg.go, dataflow.go, callgraph.go) and the
-// intraprocedural alias pass (alias.go):
+// Five are flow-sensitive, built on the CFG and dataflow layer (cfg.go,
+// dataflow.go) and the intraprocedural alias pass (alias.go):
 //
 //   - lockorder:      mutex acquisition order is globally consistent; a
 //     cycle in the lock graph (including one through a call chain) is a
@@ -48,7 +49,7 @@
 //     results, whether discarded at the call or assigned to a variable
 //     no path reads.
 //
-// Three more close the concurrency-lifecycle story: long-running
+// Three close the concurrency-lifecycle story: long-running
 // goroutines, the channels that stop them, and the contexts that cancel
 // them:
 //
@@ -68,6 +69,18 @@
 //     holding a ctx parameter derives from it instead of calling
 //     context.Background()/TODO(), and request-path packages never
 //     mint root contexts at all.
+//
+// All thirteen run on one shared engine. RunAllDetail builds a function
+// index once (index.go) before the analyzers fan out: every declared
+// function and function literal is a root with its CFG, alias map and
+// resolved call sites, and the index holds the module's close sites.
+// Facts are sets of one immutable lattice with a may and a must join
+// (dataflow.go); lockorder, lockedcallback and atomicsnapshot share one
+// lock-held transfer (lockorder.go); call-graph summaries come from one
+// fixpoint (funcIndex.fixpoint); wallclock, serverscan and ctxflow's
+// request-path rule are rows of one ForbiddenCalls table with one runner
+// (wallclock.go); and the contract tables resolve through one resolver
+// that reports stale rows (contract.go).
 //
 // A finding can be suppressed with a directive on the same line or the
 // line above:
@@ -124,18 +137,23 @@ type Unit struct {
 	Channels   []ChannelContract
 }
 
-// Analyzer is one named check over a Unit.
+// Analyzer is one named check over a Unit, read through the shared
+// function index.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(u *Unit) []Diagnostic
+	Run  func(ix *funcIndex) []Diagnostic
 }
 
 // inScope reports whether pkgPath falls under any of the given
 // module-relative package scopes. Matching is by path segment, so the
 // scope "internal/sim" covers internal/sim and internal/sim/foo but not
-// internal/simclock, and works regardless of the module prefix.
+// internal/simclock, and works regardless of the module prefix. An
+// empty list covers every package.
 func inScope(pkgPath string, scopes []string) bool {
+	if len(scopes) == 0 {
+		return true
+	}
 	p := "/" + pkgPath + "/"
 	for _, s := range scopes {
 		if strings.Contains(p, "/"+s+"/") {
@@ -143,23 +161,6 @@ func inScope(pkgPath string, scopes []string) bool {
 		}
 	}
 	return false
-}
-
-// deterministicScopes are the packages under the byte-identical
-// determinism guarantee: the simulator runs real scheduling code against
-// simulated machines, so any wall-clock read or unordered iteration here
-// silently breaks -parallel N == -parallel 1.
-var deterministicScopes = []string{
-	"internal/artifact",
-	"internal/sim",
-	"internal/simclock",
-	"internal/scheduler",
-	"internal/cluster",
-	"internal/batching",
-	"internal/queueing",
-	"internal/runtime",
-	"internal/workload",
-	"internal/bench",
 }
 
 // ignoreDirective is one parsed //lint:ignore comment. line is the
@@ -269,20 +270,19 @@ func splitIgnored(diags []Diagnostic, dirs []ignoreDirective) (active, suppresse
 // real finding on that line. Directives naming analyzers outside the
 // run set are left alone so partial runs stay quiet.
 func RunAllDetail(u *Unit, analyzers []*Analyzer) (active, suppressed []Diagnostic) {
-	// The analyzers run concurrently — each is a pure function of the
-	// (immutable once loaded) unit — with the same discipline as
-	// bench.RunStream: results land in slots keyed by input index and
-	// are folded in input order, so parallelism changes wall clock and
-	// nothing else. Three whole-program flow passes joined the roster in
-	// the lifecycle PR; fanning the suite out keeps `make lint` far
-	// inside check.sh's 60s budget on multi-core hosts.
+	// The function index is built once, up front; the analyzers then
+	// run concurrently, each a pure function of the (immutable once
+	// built) index, with the same discipline as bench.RunStream: results
+	// land in slots keyed by input index and are folded in input order,
+	// so parallelism changes wall clock and nothing else.
+	ix := newFuncIndex(u)
 	results := make([][]Diagnostic, len(analyzers))
 	var wg sync.WaitGroup
 	for i, a := range analyzers {
 		wg.Add(1)
 		go func(i int, a *Analyzer) {
 			defer wg.Done()
-			results[i] = a.Run(u)
+			results[i] = a.Run(ix)
 		}(i, a)
 	}
 	wg.Wait()
@@ -328,7 +328,10 @@ func sortDiags(diags []Diagnostic) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }
 

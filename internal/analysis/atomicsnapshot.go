@@ -21,15 +21,17 @@ package analysis
 //     container on all its returns (fixpoint; this admits
 //     Pool.Snapshot's `append([]I(nil), ...)` idiom).
 //   - Writer exclusion: a Store must happen with the contract's writer
-//     mutex held (must-analysis, defer-unlock keeps it held), unless
-//     the receiver holding the pointer is itself a fresh, not-yet-
-//     published object on that path. When the storing function takes
+//     mutex held on every path (lockorder's lock transfer under the
+//     must join, so a deferred Unlock keeps it held), unless the
+//     receiver holding the pointer is itself a fresh, not-yet-published
+//     object on that path. When the storing function takes
 //     neither lock (the *Locked helper idiom), every statically
 //     resolved caller must satisfy the same rule at its call site.
 //
 // An atomic.Pointer-published map or slice field with NO contract entry
 // is itself a diagnostic at each Store: every publication point must
-// declare its discipline.
+// declare its discipline. A row whose field or writer mutex no longer
+// resolves is a stale-row diagnostic.
 //
 // Approximations, documented: calls through interfaces or function
 // values are unresolved (a snapshot escaping through one is not seen);
@@ -39,6 +41,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -49,158 +52,120 @@ var AtomicSnapshotAnalyzer = &Analyzer{
 	Run:  runAtomicSnapshot,
 }
 
-// snapContract is one resolved SnapshotContract: the declared row plus
-// the type-checker objects it names.
+// snapContract is one resolved SnapshotContract row.
 type snapContract struct {
-	decl  *SnapshotContract
-	owner *types.Named
-	field types.Object // the atomic.Pointer field
+	*SnapshotContract
 	mutex types.Object // the writer-mutex field
 }
 
-func (c *snapContract) display() string {
-	return c.owner.Obj().Name() + "." + c.field.Name()
+func (c *snapContract) display() string { return c.Type + "." + c.Field }
+
+// callerSite is one resolved call of a declared function.
+type callerSite struct {
+	root *funcRoot
+	call *ast.CallExpr
 }
 
-func runAtomicSnapshot(u *Unit) []Diagnostic {
-	table := u.Snapshots
+func runAtomicSnapshot(ix *funcIndex) []Diagnostic {
+	table := ix.Snapshots
 	if table == nil {
 		table = SnapshotContracts
 	}
-	contracts := resolveSnapshotContracts(u, table)
-	cg := buildCallGraph(u)
-	mut := mutatedParams(u, cg)
-	fresh := freshReturners(u, cg)
-	callers := callerIndex(cg)
-
 	var diags []Diagnostic
-	for _, pkg := range u.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+	contracts := map[types.Object]*snapContract{} // keyed by the atomic.Pointer field
+	for i := range table {
+		c := &table[i]
+		objs, stale := ix.resolveRow("atomicsnapshot", "SnapshotContract", c.Type+"."+c.Field+" (writer mutex "+c.Mutex+")",
+			[]string{c.Pkg}, func(p *types.Package) []types.Object {
+				field, mutex := lookupField(p, c.Type, c.Field), lookupField(p, c.Type, c.Mutex)
+				if field == nil || mutex == nil {
+					return nil
 				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				diags = append(diags, sweepSnapshot(u, pkg, fn, fd.Body, contracts, cg, mut, fresh, callers)...)
+				return []types.Object{field, mutex}
+			})
+		diags = append(diags, stale...)
+		for j := 0; j+1 < len(objs); j += 2 {
+			contracts[objs[j]] = &snapContract{c, objs[j+1]}
+		}
+	}
+	mut := mutatedParams(ix)
+	fresh := freshReturners(ix)
+	callers := map[*types.Func][]callerSite{}
+	for _, r := range ix.roots {
+		for _, cs := range r.calls {
+			if callee := cs.callee.Origin(); r.fn != nil {
+				callers[callee] = append(callers[callee], callerSite{r, cs.call})
 			}
 		}
+	}
+	for _, r := range ix.roots {
+		diags = append(diags, checkSnapshotReads(ix, r, contracts, mut)...)
+		diags = append(diags, checkSnapshotStores(ix, r, contracts, fresh, callers)...)
 	}
 	return diags
 }
 
-// resolveSnapshotContracts maps each contracted atomic.Pointer field
-// object to its contract.
-func resolveSnapshotContracts(u *Unit, table []SnapshotContract) map[types.Object]*snapContract {
-	out := map[types.Object]*snapContract{}
-	for i := range table {
-		c := &table[i]
-		for _, pkg := range u.Pkgs {
-			if pkg.Types == nil || !inScope(pkg.Path, []string{c.Pkg}) {
-				continue
-			}
-			obj := pkg.Types.Scope().Lookup(c.Type)
-			if obj == nil {
-				continue
-			}
-			named, ok := obj.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			st, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			var field, mutex types.Object
-			for j := 0; j < st.NumFields(); j++ {
-				switch f := st.Field(j); f.Name() {
-				case c.Field:
-					field = f
-				case c.Mutex:
-					mutex = f
-				}
-			}
-			if field != nil && mutex != nil {
-				out[field] = &snapContract{decl: c, owner: named, field: field, mutex: mutex}
-			}
-		}
-	}
-	return out
-}
-
 // atomicContainerCall matches a call of the form `<recv>.<field>.Load()`
 // or `<recv>.<field>.Store(x)` where field has type atomic.Pointer[T]
-// and T's underlying type is a map or slice, returning the field object.
-func atomicContainerCall(pkg *Package, call *ast.CallExpr) (field types.Object, method string, ok bool) {
-	fn := funcOf(pkg.Info, call)
+// and T's underlying type is a map or slice, returning the field's
+// selection and the method name.
+func atomicContainerCall(info *types.Info, call *ast.CallExpr) (*types.Selection, string) {
+	fn := funcOf(info, call)
 	if fn == nil || (fn.Name() != "Load" && fn.Name() != "Store") {
-		return nil, "", false
+		return nil, ""
 	}
-	named := recvNamed(fn)
-	if named == nil || named.Obj().Pkg() == nil ||
-		named.Obj().Pkg().Path() != "sync/atomic" || named.Obj().Name() != "Pointer" {
-		return nil, "", false
+	if named := recvNamed(fn); named == nil || !isNamedType(named, "sync/atomic", "Pointer") {
+		return nil, ""
 	}
-	sel, ok2 := call.Fun.(*ast.SelectorExpr)
-	if !ok2 {
-		return nil, "", false
+	fieldSel, ok := call.Fun.(*ast.SelectorExpr).X.(*ast.SelectorExpr)
+	if !ok {
+		return nil, ""
 	}
-	fieldSel, ok2 := sel.X.(*ast.SelectorExpr)
-	if !ok2 {
-		return nil, "", false
+	s, ok := info.Selections[fieldSel]
+	if !ok || s.Kind() != types.FieldVal {
+		return nil, ""
 	}
-	s, ok2 := pkg.Info.Selections[fieldSel]
-	if !ok2 || s.Kind() != types.FieldVal {
-		return nil, "", false
-	}
-	ft, ok2 := s.Obj().Type().(*types.Named)
-	if !ok2 || ft.TypeArgs() == nil || ft.TypeArgs().Len() != 1 {
-		return nil, "", false
+	ft, ok := s.Obj().Type().(*types.Named)
+	if !ok || ft.TypeArgs() == nil || ft.TypeArgs().Len() != 1 {
+		return nil, ""
 	}
 	switch ft.TypeArgs().At(0).Underlying().(type) {
 	case *types.Map, *types.Slice:
-		return s.Obj(), fn.Name(), true
+		return s, fn.Name()
 	}
-	return nil, "", false
+	return nil, ""
 }
 
-// snapshotSource reports whether expression e is (or aliases) a value
-// loaded from a contracted atomic.Pointer container in this body.
-func snapshotSource(pkg *Package, am *aliasMap, contracts map[types.Object]*snapContract, e ast.Expr) (*snapContract, bool) {
-	e = unwrapAlias(e)
-	if call, ok := e.(*ast.CallExpr); ok {
-		if field, method, ok := atomicContainerCall(pkg, call); ok && method == "Load" {
-			if c := contracts[field]; c != nil {
-				return c, true
+// snapshotSource returns the contract whose Load() expression e is, or
+// aliases, in root r; nil if none.
+func snapshotSource(r *funcRoot, contracts map[types.Object]*snapContract, e ast.Expr) *snapContract {
+	info := r.pkg.Info
+	loaded := func(e ast.Expr) *snapContract {
+		if call, ok := unwrapAlias(e).(*ast.CallExpr); ok {
+			if s, method := atomicContainerCall(info, call); method == "Load" {
+				return contracts[s.Obj()]
 			}
 		}
-		return nil, false
+		return nil
 	}
-	obj := identObj(pkg.Info, e)
+	if _, ok := unwrapAlias(e).(*ast.CallExpr); ok {
+		return loaded(e)
+	}
+	obj := identObj(info, e)
 	if obj == nil {
-		return nil, false
+		return nil
 	}
 	container := isContainer(obj.Type())
-	for _, src := range am.Sources(obj) {
-		if src.Expr == nil {
-			continue
-		}
-		if src.Elem && !container {
-			// An element drawn out of a snapshot is only tainted when
-			// it is itself a container sharing the published storage.
-			continue
-		}
-		call, ok := unwrapAlias(src.Expr).(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if field, method, ok := atomicContainerCall(pkg, call); ok && method == "Load" {
-			if c := contracts[field]; c != nil {
-				return c, true
+	for _, src := range r.alias.Sources(obj) {
+		// An element drawn out of a snapshot is only tainted when it is
+		// itself a container sharing the published storage.
+		if src.Expr != nil && (!src.Elem || container) {
+			if c := loaded(src.Expr); c != nil {
+				return c
 			}
 		}
 	}
-	return nil, false
+	return nil
 }
 
 func isContainer(t types.Type) bool {
@@ -216,261 +181,118 @@ func isContainer(t types.Type) bool {
 	}
 }
 
-// sweepSnapshot checks one body (fn is nil for function literals) and
-// recurses into its literals as separate roots.
-func sweepSnapshot(u *Unit, pkg *Package, fn *types.Func, body *ast.BlockStmt,
-	contracts map[types.Object]*snapContract, cg *callGraph,
-	mut map[*types.Func][]bool, fresh map[*types.Func]bool,
-	callers map[*types.Func][]callerSite) []Diagnostic {
-
-	am := buildAliasMap(pkg.Info, body)
+// checkSnapshotReads flags every mutation of a loaded snapshot in r.
+func checkSnapshotReads(ix *funcIndex, r *funcRoot, contracts map[types.Object]*snapContract, mut map[*types.Func][]bool) []Diagnostic {
 	var diags []Diagnostic
-	diags = append(diags, checkSnapshotReads(u, pkg, am, body, contracts, mut)...)
-	diags = append(diags, checkSnapshotStores(u, pkg, fn, am, body, contracts, fresh, callers)...)
-
-	var lits []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			lits = append(lits, lit)
-			return false
+	containerWrites(r.pkg.Info, r.body, mut, func(at ast.Node, target ast.Expr, what string, callee *types.Func) {
+		c := snapshotSource(r, contracts, target)
+		switch {
+		case c == nil:
+		case callee != nil:
+			diags = append(diags, ix.diag("atomicsnapshot", at.Pos(), "snapshot loaded from "+c.display()+
+				" passed to "+shortFuncName(callee.FullName())+
+				", which mutates that parameter; values reached from Load() are shared read-only"))
+		default:
+			diags = append(diags, ix.diag("atomicsnapshot", at.Pos(), what+" a snapshot loaded from "+c.display()+
+				"; values reached from Load() are shared read-only — copy, mutate the copy, and Store the copy"))
 		}
-		return true
 	})
-	for _, lit := range lits {
-		diags = append(diags, sweepSnapshot(u, pkg, nil, lit.Body, contracts, cg, mut, fresh, callers)...)
-	}
 	return diags
 }
 
-// checkSnapshotReads flags every mutation of a loaded snapshot in body.
-func checkSnapshotReads(u *Unit, pkg *Package, am *aliasMap, body *ast.BlockStmt,
-	contracts map[types.Object]*snapContract, mut map[*types.Func][]bool) []Diagnostic {
-
-	var diags []Diagnostic
-	report := func(n ast.Node, c *snapContract, what string) {
-		diags = append(diags, Diagnostic{
-			Analyzer: "atomicsnapshot",
-			Pos:      u.Fset.Position(n.Pos()),
-			Message: what + " a snapshot loaded from " + c.display() +
-				"; values reached from Load() are shared read-only — copy, mutate the copy, and Store the copy",
-		})
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
+// containerWrites calls visit for every container mutation under n,
+// function literals excluded: an index store, delete, append, copy-into
+// or sort.* call on target, or target passed to a parameter that the
+// callee mutates according to mut. at is the assignment or call; what
+// names the mutation, and is "" when callee is set.
+func containerWrites(info *types.Info, n ast.Node, mut map[*types.Func][]bool, visit func(at ast.Node, target ast.Expr, what string, callee *types.Func)) {
+	each(n, func(m ast.Node) {
+		switch m := m.(type) {
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
+			for _, lhs := range m.Lhs {
 				if idx, ok := lhs.(*ast.IndexExpr); ok {
-					if c, ok := snapshotSource(pkg, am, contracts, idx.X); ok {
-						report(n, c, "write into")
-					}
+					visit(m, idx.X, "write into", nil)
 				}
 			}
 		case *ast.CallExpr:
-			diags = append(diags, checkSnapshotCall(u, pkg, am, n, contracts, mut)...)
+			if id, ok := m.Fun.(*ast.Ident); ok && len(m.Args) > 0 {
+				if b, ok := info.Uses[id].(*types.Builtin); ok {
+					if what := builtinWrites[b.Name()]; what != "" {
+						visit(m, m.Args[0], what, nil)
+					}
+					return
+				}
+			}
+			fn := funcOf(info, m)
+			if fn == nil {
+				return
+			}
+			if fn.Pkg() != nil && fn.Pkg().Path() == "sort" {
+				if sortFuncs[fn.Name()] && len(m.Args) > 0 {
+					visit(m, m.Args[0], "sort", nil)
+				}
+				return
+			}
+			mutated := mut[fn.Origin()]
+			for i, arg := range m.Args {
+				if i < len(mutated) && mutated[i] {
+					visit(m, arg, "", fn)
+				}
+			}
 		}
-		return true
 	})
-	return diags
 }
 
-// checkSnapshotCall flags builtin and resolved calls that mutate a
-// snapshot argument.
-func checkSnapshotCall(u *Unit, pkg *Package, am *aliasMap, call *ast.CallExpr,
-	contracts map[types.Object]*snapContract, mut map[*types.Func][]bool) []Diagnostic {
+var builtinWrites = map[string]string{"delete": "delete from", "append": "append to", "copy": "copy into"}
 
-	var diags []Diagnostic
-	report := func(c *snapContract, what string) {
-		diags = append(diags, Diagnostic{
-			Analyzer: "atomicsnapshot",
-			Pos:      u.Fset.Position(call.Pos()),
-			Message: what + " a snapshot loaded from " + c.display() +
-				"; values reached from Load() are shared read-only — copy, mutate the copy, and Store the copy",
-		})
-	}
-	if id, ok := call.Fun.(*ast.Ident); ok && len(call.Args) > 0 {
-		if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "delete":
-				if c, ok := snapshotSource(pkg, am, contracts, call.Args[0]); ok {
-					report(c, "delete from")
-				}
-			case "append":
-				if c, ok := snapshotSource(pkg, am, contracts, call.Args[0]); ok {
-					report(c, "append to")
-				}
-			case "copy":
-				if c, ok := snapshotSource(pkg, am, contracts, call.Args[0]); ok {
-					report(c, "copy into")
-				}
-			}
-			return diags
-		}
-	}
-	fn := funcOf(pkg.Info, call)
-	if fn == nil {
-		return diags
-	}
-	if fn.Pkg() != nil && fn.Pkg().Path() == "sort" && len(call.Args) > 0 {
-		switch fn.Name() {
-		case "Slice", "SliceStable", "Sort", "Stable", "Strings", "Ints", "Float64s":
-			if c, ok := snapshotSource(pkg, am, contracts, call.Args[0]); ok {
-				report(c, "sort")
-			}
-		}
-		return diags
-	}
-	mutated := mut[fn.Origin()]
-	if mutated == nil {
-		return diags
-	}
-	for i, arg := range call.Args {
-		if i < len(mutated) && mutated[i] {
-			if c, ok := snapshotSource(pkg, am, contracts, arg); ok {
-				diags = append(diags, Diagnostic{
-					Analyzer: "atomicsnapshot",
-					Pos:      u.Fset.Position(call.Pos()),
-					Message: "snapshot loaded from " + c.display() + " passed to " + shortFuncName(fn.FullName()) +
-						", which mutates that parameter; values reached from Load() are shared read-only",
-				})
-			}
-		}
-	}
-	return diags
-}
+var sortFuncs = map[string]bool{"Slice": true, "SliceStable": true, "Sort": true, "Stable": true,
+	"Strings": true, "Ints": true, "Float64s": true}
 
-// cowFact is the combined must-fact for the Store-side checks: the
-// mutexes held on every path and the locals known to hold fresh,
-// unpublished containers on every path.
+// cowFact is the must-fact for the Store-side checks: the mutexes held
+// on every path and the locals holding fresh, unpublished containers on
+// every path.
 type cowFact struct {
-	held  map[types.Object]bool
-	fresh map[types.Object]bool
+	held  locks
+	fresh objSet
 }
 
-func cowSetAdd(m map[types.Object]bool, o types.Object) map[types.Object]bool {
-	if m[o] {
-		return m
-	}
-	out := make(map[types.Object]bool, len(m)+1)
-	for k := range m {
-		out[k] = true
-	}
-	out[o] = true
-	return out
-}
-
-func cowSetDel(m map[types.Object]bool, o types.Object) map[types.Object]bool {
-	if !m[o] {
-		return m
-	}
-	out := make(map[types.Object]bool, len(m))
-	for k := range m {
-		if k != o {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-func cowSetIntersect(a, b map[types.Object]bool) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	for k := range a {
-		if b[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-func cowSetEqual(a, b map[types.Object]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func cowJoin(a, b cowFact) cowFact {
-	return cowFact{held: cowSetIntersect(a.held, b.held), fresh: cowSetIntersect(a.fresh, b.fresh)}
-}
-
-func cowEqual(a, b cowFact) bool {
-	return cowSetEqual(a.held, b.held) && cowSetEqual(a.fresh, b.fresh)
-}
-
-// cowFacts builds the must-analysis transfer for one body.
-func cowFacts(pkg *Package, fresh map[*types.Func]bool) Facts[cowFact] {
+// cowFacts builds the must-analysis transfer for one root.
+func cowFacts(info *types.Info, fresh map[*types.Func]bool) Facts[cowFact] {
 	return Facts[cowFact]{
-		Join:  cowJoin,
-		Equal: cowEqual,
+		Join: func(a, b cowFact) cowFact {
+			return cowFact{mustJoin(a.held, b.held), mustJoin(a.fresh, b.fresh)}
+		},
+		Equal: func(a, b cowFact) bool { return sameKeys(a.held, b.held) && sameKeys(a.fresh, b.fresh) },
 		Transfer: func(f cowFact, n ast.Node) cowFact {
-			deferred := false
-			if d, ok := n.(*ast.DeferStmt); ok {
-				deferred = true
-				n = d.Call
+			eachCall(n, func(call *ast.CallExpr, deferred bool) { f.held = lockStep(info, f.held, call, deferred) })
+			mark := func(obj types.Object, fresh bool) {
+				if fresh {
+					f.fresh = f.fresh.with(obj, struct{}{})
+				} else {
+					f.fresh = f.fresh.without(obj)
+				}
 			}
-			forEachCall(n, func(call *ast.CallExpr) {
-				fn := funcOf(pkg.Info, call)
-				if fn == nil {
-					return
-				}
-				switch _, kind := mutexOp(fn); kind {
-				case "lock":
-					if obj, ok := lockTargetObj(pkg, call); ok {
-						f.held = cowSetAdd(f.held, obj)
-					}
-				case "unlock":
-					if deferred {
-						return // defer mu.Unlock(): held to function end
-					}
-					if obj, ok := lockTargetObj(pkg, call); ok {
-						f.held = cowSetDel(f.held, obj)
-					}
-				}
-			})
-			forEachAssign(n, func(as *ast.AssignStmt) {
-				if len(as.Lhs) != len(as.Rhs) {
-					for _, lhs := range as.Lhs {
-						if obj := identObj(pkg.Info, lhs); obj != nil {
-							f.fresh = cowSetDel(f.fresh, obj)
-						}
-					}
-					return
-				}
+			each(n, func(as *ast.AssignStmt) {
 				for i, lhs := range as.Lhs {
-					obj := identObj(pkg.Info, lhs)
-					if obj == nil {
-						continue
-					}
-					if lhs, ok := lhs.(*ast.Ident); !ok || lhs.Name == "_" {
-						continue
-					}
-					if freshExpr(pkg, f, fresh, as.Rhs[i]) {
-						f.fresh = cowSetAdd(f.fresh, obj)
-					} else {
-						f.fresh = cowSetDel(f.fresh, obj)
+					obj := identObj(info, lhs)
+					switch id, isIdent := lhs.(*ast.Ident); {
+					case obj == nil:
+					case len(as.Lhs) != len(as.Rhs):
+						mark(obj, false)
+					case isIdent && id.Name != "_":
+						mark(obj, f.freshExpr(info, fresh, as.Rhs[i]))
 					}
 				}
 			})
 			if ds, ok := n.(*ast.DeclStmt); ok {
 				if gd, ok := ds.Decl.(*ast.GenDecl); ok {
 					for _, spec := range gd.Specs {
-						vs, ok := spec.(*ast.ValueSpec)
-						if !ok {
-							continue
-						}
-						for i, name := range vs.Names {
-							obj := pkg.Info.Defs[name]
-							if obj == nil {
-								continue
-							}
-							if len(vs.Values) == 0 || (i < len(vs.Values) && freshExpr(pkg, f, fresh, vs.Values[i])) {
-								f.fresh = cowSetAdd(f.fresh, obj)
+						if vs, ok := spec.(*ast.ValueSpec); ok {
+							for i, name := range vs.Names {
+								if obj := info.Defs[name]; obj != nil &&
+									(len(vs.Values) == 0 || (i < len(vs.Values) && f.freshExpr(info, fresh, vs.Values[i]))) {
+									mark(obj, true)
+								}
 							}
 						}
 					}
@@ -482,8 +304,22 @@ func cowFacts(pkg *Package, fresh map[*types.Func]bool) Facts[cowFact] {
 }
 
 // freshExpr reports whether e builds a container no other goroutine can
-// reference yet, given the fresh-set of the current fact.
-func freshExpr(pkg *Package, f cowFact, fresh map[*types.Func]bool, e ast.Expr) bool {
+// reference yet, given the fresh locals of f.
+func (f cowFact) freshExpr(info *types.Info, fresh map[*types.Func]bool, e ast.Expr) bool {
+	return freshContainer(info, e, fresh, func(obj types.Object) bool { return f.fresh.has(obj) })
+}
+
+// heldOrFresh reports whether the writer mutex is held, or the object
+// x names is itself fresh (not yet published) on this path.
+func (f cowFact) heldOrFresh(info *types.Info, mutex types.Object, x ast.Expr) bool {
+	obj := identObj(info, x)
+	return f.held.has(mutex) || (obj != nil && f.fresh.has(obj))
+}
+
+// freshContainer is the fresh-container classifier: composite literals,
+// make/new, append to a fresh base, conversions of fresh operands, calls
+// to fresh returners, nil, and locals ident accepts.
+func freshContainer(info *types.Info, e ast.Expr, fresh map[*types.Func]bool, ident func(types.Object) bool) bool {
 	for {
 		p, ok := e.(*ast.ParenExpr)
 		if !ok {
@@ -495,463 +331,185 @@ func freshExpr(pkg *Package, f cowFact, fresh map[*types.Func]bool, e ast.Expr) 
 	case *ast.CompositeLit:
 		return true
 	case *ast.UnaryExpr:
-		if e.Op.String() != "&" {
+		if e.Op != token.AND {
 			return false
 		}
 		if _, ok := e.X.(*ast.CompositeLit); ok {
 			return true
 		}
-		if obj := identObj(pkg.Info, e.X); obj != nil {
-			return f.fresh[obj]
-		}
-		return false
+		obj := identObj(info, e.X)
+		return obj != nil && ident(obj)
 	case *ast.Ident:
-		if e.Name == "nil" {
-			return true
-		}
-		if obj := identObj(pkg.Info, e); obj != nil {
-			return f.fresh[obj]
-		}
-		return false
+		obj := identObj(info, e)
+		return e.Name == "nil" || (obj != nil && ident(obj))
 	case *ast.CallExpr:
 		if id, ok := e.Fun.(*ast.Ident); ok {
-			if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
+			if b, ok := info.Uses[id].(*types.Builtin); ok {
 				switch b.Name() {
 				case "make", "new":
 					return true
 				case "append":
-					return len(e.Args) > 0 && freshExpr(pkg, f, fresh, e.Args[0])
+					return len(e.Args) > 0 && freshContainer(info, e.Args[0], fresh, ident)
 				}
 				return false
 			}
 		}
-		if tv, ok := pkg.Info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+		if tv, ok := info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
 			// Conversion: []I(nil), map...(fresh) — fresh iff the operand is.
-			return freshExpr(pkg, f, fresh, e.Args[0])
+			return freshContainer(info, e.Args[0], fresh, ident)
 		}
-		if fn := funcOf(pkg.Info, e); fn != nil {
+		if fn := funcOf(info, e); fn != nil {
 			return fresh[fn.Origin()]
 		}
-		return false
 	}
 	return false
 }
 
-// lockTargetObj resolves the mutex operand of a Lock/Unlock call to its
-// declared object: the struct field for `s.mu`-style locks, the
-// variable for a bare identifier.
-func lockTargetObj(pkg *Package, call *ast.CallExpr) (types.Object, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, false
-	}
-	switch x := sel.X.(type) {
-	case *ast.SelectorExpr:
-		if s, ok := pkg.Info.Selections[x]; ok {
-			return s.Obj(), true
-		}
-	case *ast.Ident:
-		if obj := pkg.Info.Uses[x]; obj != nil {
-			return obj, true
-		}
-	}
-	return nil, false
-}
+// checkSnapshotStores verifies every contract-field Store in r: fresh
+// argument, writer mutex (directly, via a fresh receiver, or at every
+// caller), and a contract entry at all.
+func checkSnapshotStores(ix *funcIndex, r *funcRoot, contracts map[types.Object]*snapContract,
+	fresh map[*types.Func]bool, callers map[*types.Func][]callerSite) []Diagnostic {
 
-// callerSite is one resolved call of a function, with the calling
-// function's node for replaying its facts.
-type callerSite struct {
-	node *funcNode
-	call *ast.CallExpr
-}
-
-// callerIndex inverts the call graph: callee origin → caller sites.
-func callerIndex(cg *callGraph) map[*types.Func][]callerSite {
-	out := map[*types.Func][]callerSite{}
-	for _, node := range cg.nodes {
-		for _, cs := range node.calls {
-			key := cs.callee.Origin()
-			out[key] = append(out[key], callerSite{node: node, call: cs.call})
-		}
-	}
-	return out
-}
-
-// checkSnapshotStores verifies every contract-field Store in body:
-// fresh argument, writer mutex (directly, via a fresh receiver, or at
-// every caller), and a contract entry at all.
-func checkSnapshotStores(u *Unit, pkg *Package, fn *types.Func, am *aliasMap, body *ast.BlockStmt,
-	contracts map[types.Object]*snapContract, fresh map[*types.Func]bool,
-	callers map[*types.Func][]callerSite) []Diagnostic {
-
-	cfg := BuildCFG(body)
-	fx := cowFacts(pkg, fresh)
-	ins := Forward(cfg, cowFact{held: map[types.Object]bool{}, fresh: map[types.Object]bool{}}, fx)
-
+	info := r.pkg.Info
+	fx := cowFacts(info, fresh)
 	var diags []Diagnostic
-	VisitWithFacts(cfg, ins, fx, func(f cowFact, n ast.Node) {
-		forEachCall(n, func(call *ast.CallExpr) {
-			field, method, ok := atomicContainerCall(pkg, call)
-			if !ok || method != "Store" {
+	VisitWithFacts(r.cfg, Forward(r.cfg, cowFact{}, fx), fx, func(f cowFact, n ast.Node) {
+		each(n, func(call *ast.CallExpr) {
+			s, method := atomicContainerCall(info, call)
+			if method != "Store" {
 				return
 			}
-			c := contracts[field]
+			c := contracts[s.Obj()]
 			if c == nil {
-				diags = append(diags, Diagnostic{
-					Analyzer: "atomicsnapshot",
-					Pos:      u.Fset.Position(call.Pos()),
-					Message: "atomic.Pointer-published container " + fieldDisplay(field) +
-						" has no SnapshotContract entry; declare its writer mutex in invariants.go",
-				})
+				diags = append(diags, ix.diag("atomicsnapshot", call.Pos(), "atomic.Pointer-published container "+
+					fieldName(s.Recv(), s.Obj(), false)+" has no SnapshotContract entry; declare its writer mutex in invariants.go"))
 				return
 			}
-			if len(call.Args) == 1 && !freshExpr(pkg, f, fresh, call.Args[0]) {
-				diags = append(diags, Diagnostic{
-					Analyzer: "atomicsnapshot",
-					Pos:      u.Fset.Position(call.Pos()),
-					Message: c.display() + ".Store argument is not a fresh container built on every path to this store; " +
-						"copy-on-write publication requires a new copy per swap",
-				})
+			if len(call.Args) == 1 && !f.freshExpr(info, fresh, call.Args[0]) {
+				diags = append(diags, ix.diag("atomicsnapshot", call.Pos(), c.display()+
+					".Store argument is not a fresh container built on every path to this store; "+
+					"copy-on-write publication requires a new copy per swap"))
 			}
-			if !storeMutexOK(pkg, f, c, call) {
-				if fn == nil || !callersHoldMutex(u, fn, c, fresh, callers) {
-					diags = append(diags, Diagnostic{
-						Analyzer: "atomicsnapshot",
-						Pos:      u.Fset.Position(call.Pos()),
-						Message: c.display() + ".Store without " + c.owner.Obj().Name() + "." + c.mutex.Name() +
-							" held on every path (here or in every caller); concurrent writers would interleave copy and swap",
-					})
-				}
+			// t.v.Store(...) with t fresh: the whole object is unpublished.
+			owner := call.Fun.(*ast.SelectorExpr).X.(*ast.SelectorExpr).X
+			if !f.heldOrFresh(info, c.mutex, owner) && (r.fn == nil || !callersHoldMutex(c, fresh, callers[r.fn.Origin()])) {
+				diags = append(diags, ix.diag("atomicsnapshot", call.Pos(), c.display()+".Store without "+c.Type+"."+c.Mutex+
+					" held on every path (here or in every caller); concurrent writers would interleave copy and swap"))
 			}
 		})
 	})
 	return diags
 }
 
-// storeMutexOK reports whether this Store site locally satisfies the
-// writer-exclusion rule: contract mutex held, or the receiver that owns
-// the pointer is itself fresh (not yet published) on this path.
-func storeMutexOK(pkg *Package, f cowFact, c *snapContract, call *ast.CallExpr) bool {
-	if f.held[c.mutex] {
-		return true
-	}
-	// t.v.Store(...) with t fresh: the whole object is unpublished.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if fieldSel, ok := sel.X.(*ast.SelectorExpr); ok {
-			if obj := identObj(pkg.Info, fieldSel.X); obj != nil && f.fresh[obj] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // callersHoldMutex checks, one level up the call graph, that every
-// statically resolved caller of fn either holds the contract mutex at
-// the call site or invokes fn on a fresh receiver. No callers at all
-// fails: an unexercised Store helper still needs its discipline pinned.
-func callersHoldMutex(u *Unit, fn *types.Func, c *snapContract, fresh map[*types.Func]bool,
-	callers map[*types.Func][]callerSite) bool {
-
-	sites := callers[fn.Origin()]
-	if len(sites) == 0 {
-		return false
-	}
+// statically resolved caller either holds the contract mutex at the
+// call site or invokes the function on a fresh receiver. No callers at
+// all fails: an unexercised Store helper still needs its discipline
+// pinned.
+func callersHoldMutex(c *snapContract, fresh map[*types.Func]bool, sites []callerSite) bool {
 	for _, site := range sites {
-		cfg := BuildCFG(site.node.decl.Body)
-		fx := cowFacts(site.node.pkg, fresh)
-		ins := Forward(cfg, cowFact{held: map[types.Object]bool{}, fresh: map[types.Object]bool{}}, fx)
+		info := site.root.pkg.Info
+		fx := cowFacts(info, fresh)
 		ok := false
-		VisitWithFacts(cfg, ins, fx, func(f cowFact, n ast.Node) {
-			forEachCall(n, func(call *ast.CallExpr) {
+		VisitWithFacts(site.root.cfg, Forward(site.root.cfg, cowFact{}, fx), fx, func(f cowFact, n ast.Node) {
+			each(n, func(call *ast.CallExpr) {
 				if call != site.call {
 					return
 				}
-				if f.held[c.mutex] {
-					ok = true
-					return
-				}
+				recv := ast.Expr(nil)
 				if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-					if obj := identObj(site.node.pkg.Info, sel.X); obj != nil && f.fresh[obj] {
-						ok = true
-					}
+					recv = sel.X
 				}
+				ok = ok || f.heldOrFresh(info, c.mutex, recv)
 			})
 		})
 		if !ok {
 			return false
 		}
 	}
-	return true
-}
-
-// fieldDisplay renders "Type.field" for an uncontracted field.
-func fieldDisplay(field types.Object) string {
-	name := field.Name()
-	if v, ok := field.(*types.Var); ok && v.IsField() {
-		if pkg := field.Pkg(); pkg != nil {
-			// Walk the package scope for the named struct owning the field.
-			scope := pkg.Scope()
-			for _, tn := range scope.Names() {
-				obj := scope.Lookup(tn)
-				named, ok := obj.Type().(*types.Named)
-				if !ok {
-					continue
-				}
-				st, ok := named.Underlying().(*types.Struct)
-				if !ok {
-					continue
-				}
-				for j := 0; j < st.NumFields(); j++ {
-					if st.Field(j) == field {
-						return named.Obj().Name() + "." + name
-					}
-				}
-			}
-		}
-	}
-	return name
+	return len(sites) > 0
 }
 
 // mutatedParams computes, per declared function, which parameters the
-// function may mutate as containers: index stores, delete, copy-into,
-// append with the parameter as base, or passing the parameter on to a
-// callee's mutating parameter (transitive fixpoint).
-func mutatedParams(u *Unit, cg *callGraph) map[*types.Func][]bool {
-	params := map[*types.Func][]types.Object{}
-	for fn, node := range cg.nodes {
-		var objs []types.Object
-		if node.decl.Type.Params != nil {
-			for _, fld := range node.decl.Type.Params.List {
-				for _, name := range fld.Names {
-					objs = append(objs, node.pkg.Info.Defs[name])
-				}
-			}
-		}
-		params[fn] = objs
-	}
+// function may mutate as containers (containerWrites on the parameter,
+// including passing it on to a callee's mutating parameter).
+func mutatedParams(ix *funcIndex) map[*types.Func][]bool {
 	out := map[*types.Func][]bool{}
-	for fn := range cg.nodes {
-		out[fn] = make([]bool, len(params[fn]))
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, node := range cg.nodes {
-			for i, p := range params[fn] {
-				if out[fn][i] || p == nil {
-					continue
-				}
-				if bodyMutatesObj(node.pkg, node.decl.Body, p, out) {
-					out[fn][i] = true
-					changed = true
-				}
-			}
+	for _, r := range ix.roots {
+		if r.fn != nil {
+			out[r.fn] = make([]bool, r.fn.Type().(*types.Signature).Params().Len())
 		}
 	}
+	ix.fixpoint(func(r *funcRoot) bool {
+		changed := false
+		params := r.fn.Type().(*types.Signature).Params()
+		for i, done := range out[r.fn] {
+			if !done && bodyMutatesObj(r, params.At(i), out) {
+				out[r.fn][i] = true
+				changed = true
+			}
+		}
+		return changed
+	})
 	return out
 }
 
-// bodyMutatesObj reports whether body mutates obj as a container, given
-// the current callee summaries.
-func bodyMutatesObj(pkg *Package, body *ast.BlockStmt, obj types.Object, summaries map[*types.Func][]bool) bool {
+// bodyMutatesObj reports whether r's body mutates obj as a container,
+// given the current callee summaries.
+func bodyMutatesObj(r *funcRoot, obj types.Object, summaries map[*types.Func][]bool) bool {
 	found := false
-	isObj := func(e ast.Expr) bool {
-		base := e
+	containerWrites(r.pkg.Info, r.body, summaries, func(_ ast.Node, target ast.Expr, _ string, _ *types.Func) {
 		for {
-			if idx, ok := base.(*ast.IndexExpr); ok {
-				base = idx.X
-				continue
+			idx, ok := target.(*ast.IndexExpr)
+			if !ok {
+				break
 			}
-			break
+			target = idx.X
 		}
-		return identObj(pkg.Info, base) == obj
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if idx, ok := lhs.(*ast.IndexExpr); ok && isObj(idx.X) {
-					found = true
-				}
-			}
-		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && len(n.Args) > 0 {
-				if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "delete", "copy":
-						if isObj(n.Args[0]) {
-							found = true
-						}
-					case "append":
-						if isObj(n.Args[0]) {
-							found = true
-						}
-					}
-					return true
-				}
-			}
-			fn := funcOf(pkg.Info, n)
-			if fn == nil {
-				return true
-			}
-			if fn.Pkg() != nil && fn.Pkg().Path() == "sort" && len(n.Args) > 0 {
-				switch fn.Name() {
-				case "Slice", "SliceStable", "Sort", "Stable", "Strings", "Ints", "Float64s":
-					if isObj(n.Args[0]) {
-						found = true
-					}
-				}
-				return true
-			}
-			callee := summaries[fn.Origin()]
-			for i, arg := range n.Args {
-				if i < len(callee) && callee[i] && isObj(arg) {
-					found = true
-				}
-			}
-		}
-		return true
+		found = found || identObj(r.pkg.Info, target) == obj
 	})
 	return found
 }
 
 // freshReturners computes the set of declared functions whose every
-// return value is a provably fresh container: composite literals,
-// make/new, append to a nil/fresh base, conversions of fresh operands,
-// locals built only from those, or calls to other fresh returners
-// (fixpoint). Pool.Snapshot's `append([]I(nil), p.members...)` is the
+// return value is a provably fresh container (fixpoint over the call
+// graph). Pool.Snapshot's `append([]I(nil), p.members...)` is the
 // motivating member.
-func freshReturners(u *Unit, cg *callGraph) map[*types.Func]bool {
+func freshReturners(ix *funcIndex) map[*types.Func]bool {
 	out := map[*types.Func]bool{}
-	for changed := true; changed; {
-		changed = false
-		for fn, node := range cg.nodes {
-			if out[fn] {
-				continue
-			}
-			if allReturnsFresh(node.pkg, node.decl, out) {
-				out[fn] = true
-				changed = true
-			}
+	ix.fixpoint(func(r *funcRoot) bool {
+		if out[r.fn] || r.typ.Results == nil || r.typ.Results.NumFields() == 0 {
+			return false
 		}
-	}
+		sawReturn, fresh := false, true
+		each(r.body, func(ret *ast.ReturnStmt) {
+			sawReturn = true
+			fresh = fresh && len(ret.Results) > 0 // a bare return of named results is untracked
+			for _, res := range ret.Results {
+				fresh = fresh && freshContainer(r.pkg.Info, res, out, r.aliasFresh(out))
+			}
+		})
+		out[r.fn] = sawReturn && fresh
+		return out[r.fn]
+	})
 	return out
 }
 
-func allReturnsFresh(pkg *Package, decl *ast.FuncDecl, summary map[*types.Func]bool) bool {
-	if decl.Type.Results == nil || decl.Type.Results.NumFields() == 0 {
-		return false
-	}
-	am := buildAliasMap(pkg.Info, decl.Body)
-	sawReturn := false
-	fresh := true
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if !fresh {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			sawReturn = true
-			if len(n.Results) == 0 {
-				fresh = false // bare return of named results: untracked
-				return true
-			}
-			for _, r := range n.Results {
-				if !freshReturnExpr(pkg, am, summary, r, map[types.Object]bool{}) {
-					fresh = false
-				}
-			}
-		}
-		return true
-	})
-	return sawReturn && fresh
-}
-
-func freshReturnExpr(pkg *Package, am *aliasMap, summary map[*types.Func]bool, e ast.Expr, visited map[types.Object]bool) bool {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			break
-		}
-		e = p.X
-	}
-	switch e := e.(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		if e.Op.String() != "&" {
-			return false
-		}
-		if _, ok := e.X.(*ast.CompositeLit); ok {
+// aliasFresh is the alias-pass ident rule for freshContainer: every alias
+// source of the local is a fresh construction. A self-referential definition (`x =
+// append(x, ...)`) is fresh-neutral: it preserves whatever freshness the
+// variable's other definitions establish, so a revisited object does not
+// veto.
+func (r *funcRoot) aliasFresh(summary map[*types.Func]bool) func(types.Object) bool {
+	visited := map[types.Object]bool{}
+	var ident func(obj types.Object) bool
+	ident = func(obj types.Object) bool {
+		if visited[obj] {
 			return true
 		}
-		if obj := identObj(pkg.Info, e.X); obj != nil {
-			return identFresh(pkg, am, summary, obj, visited)
-		}
-		return false
-	case *ast.Ident:
-		if e.Name == "nil" {
-			return true
-		}
-		if obj := identObj(pkg.Info, e); obj != nil {
-			return identFresh(pkg, am, summary, obj, visited)
-		}
-		return false
-	case *ast.CallExpr:
-		if id, ok := e.Fun.(*ast.Ident); ok {
-			if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
-				switch b.Name() {
-				case "make", "new":
-					return true
-				case "append":
-					return len(e.Args) > 0 && freshReturnExpr(pkg, am, summary, e.Args[0], visited)
-				}
-				return false
-			}
-		}
-		if tv, ok := pkg.Info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
-			return freshReturnExpr(pkg, am, summary, e.Args[0], visited)
-		}
-		if fn := funcOf(pkg.Info, e); fn != nil {
-			return summary[fn.Origin()]
-		}
-		return false
+		visited[obj] = true
+		return r.alias.everySource(obj, func(src ast.Expr) bool { return freshContainer(r.pkg.Info, src, summary, ident) })
 	}
-	return false
-}
-
-// identFresh reports whether every alias source of obj is a fresh
-// construction (zero values count: a nil container is unaliased). A
-// self-referential definition (`x = append(x, ...)`) is fresh-neutral:
-// it preserves whatever freshness the variable's other definitions
-// establish, so a revisited object does not veto.
-func identFresh(pkg *Package, am *aliasMap, summary map[*types.Func]bool, obj types.Object, visited map[types.Object]bool) bool {
-	if visited[obj] {
-		return true
-	}
-	visited[obj] = true
-	srcs := am.Sources(obj)
-	if len(srcs) == 0 {
-		return false
-	}
-	for _, src := range srcs {
-		switch {
-		case src.Zero:
-			// nil container: fresh.
-		case src.Unknown, src.Elem, src.Expr == nil:
-			return false
-		default:
-			if !freshReturnExpr(pkg, am, summary, src.Expr, visited) {
-				return false
-			}
-		}
-	}
-	return true
+	return ident
 }

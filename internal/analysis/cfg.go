@@ -1,10 +1,9 @@
 package analysis
 
 // cfg.go builds a per-function control-flow graph over go/ast — the
-// substrate for the flow-sensitive analyzers (lockorder,
-// atomicsnapshot, poolcontract, hotalloc, errflow). Blocks carry
-// statement-level nodes in execution order;
-// edges cover branches, loops (with labeled break/continue), switch
+// substrate for the flow-sensitive analyzers, built once per root by the
+// function index (index.go). Blocks carry statement-level nodes in
+// execution order; edges cover branches, loops (with labeled break/continue), switch
 // fallthrough, select, goto, and early returns. `defer` statements stay
 // in flow order inside their block and are additionally collected in
 // registration order so analyses can replay them LIFO at function exit.
@@ -204,12 +203,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.stmt(s.Body)
 		b.edge(b.cur, post)
 		b.popLoop()
-		b.cur = join
-		if s.Cond == nil {
-			// `for {}` only exits via break; join is reachable solely
-			// through the registered break edges.
-			_ = join
-		}
+		b.cur = join // for `for {}`, reachable only through break edges
 
 	case *ast.RangeStmt:
 		head := b.newBlock()

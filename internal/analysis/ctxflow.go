@@ -17,10 +17,10 @@ package analysis
 //     calls module-internal functions that accept a context has dropped
 //     the caller's deadline on the floor — the callee blocks under a
 //     context the caller cannot cancel. Diagnosed at the parameter.
-//   - context.Background()/TODO() inside the request-path packages
-//     (ctxRequestScopes) mints a fresh root mid-request, detaching the
-//     work from the caller's deadline; inside any function that already
-//     has a ctx parameter it is diagnosed module-wide.
+//   - context.Background()/TODO() inside any function that already has
+//     a ctx parameter is diagnosed module-wide; inside the request-path
+//     packages (a ForbiddenCalls row) it mints a fresh root mid-request,
+//     detaching the work from the caller's deadline.
 //
 // Handed-off cancels are accepted optimistically (any mention beyond a
 // plain call counts as an escape) — the analyzer chases provable local
@@ -38,163 +38,72 @@ var CtxFlowAnalyzer = &Analyzer{
 	Run:  runCtxFlow,
 }
 
-// ctxRequestScopes are the packages on the request path: everything
-// here runs under a caller's deadline, so minting a root context
-// detaches work from cancellation.
-var ctxRequestScopes = []string{
-	"internal/gateway",
-	"internal/loadgen",
-}
-
-func runCtxFlow(u *Unit) []Diagnostic {
-	internalCtxFuncs := ctxTakingFuncs(u)
+func runCtxFlow(ix *funcIndex) []Diagnostic {
 	var diags []Diagnostic
-	for _, pkg := range u.Pkgs {
-		inReq := inScope(pkg.Path, ctxRequestScopes)
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				diags = append(diags, sweepCtxRoot(u, pkg, fd.Type, fd.Body, inReq, internalCtxFuncs)...)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if lit, ok := n.(*ast.FuncLit); ok {
-						diags = append(diags, sweepCtxRoot(u, pkg, lit.Type, lit.Body, inReq, internalCtxFuncs)...)
-					}
-					return true
-				})
-			}
-		}
-	}
-	return diags
-}
-
-// ctxTakingFuncs indexes the module's own functions that accept a
-// context.Context parameter — the callees a ctx should be threaded
-// into.
-func ctxTakingFuncs(u *Unit) map[*types.Func]bool {
-	set := map[*types.Func]bool{}
-	for _, pkg := range u.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				sig := fn.Type().(*types.Signature)
-				for i := 0; i < sig.Params().Len(); i++ {
-					if isContextType(sig.Params().At(i).Type()) {
-						set[fn] = true
-						break
+	reported := map[*ast.CallExpr]bool{}
+	for _, r := range ix.roots {
+		info := r.pkg.Info
+		var ctxParams []*types.Var
+		if r.typ.Params != nil {
+			for _, field := range r.typ.Params.List {
+				for _, name := range field.Names {
+					if obj, ok := info.Defs[name].(*types.Var); ok && isContextType(obj.Type()) {
+						ctxParams = append(ctxParams, obj)
 					}
 				}
 			}
 		}
-	}
-	return set
-}
 
-// sweepCtxRoot checks one function root (declaration or literal body;
-// literals are separate roots, matching the CFG discipline).
-func sweepCtxRoot(u *Unit, pkg *Package, ftype *ast.FuncType, body *ast.BlockStmt, inReq bool, internalCtxFuncs map[*types.Func]bool) []Diagnostic {
-	var diags []Diagnostic
-	ctxParams := ctxParamObjs(pkg, ftype)
-
-	// Rule: no fresh root contexts where a deadline should flow.
-	shallowInspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := funcOf(pkg.Info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-			return true
-		}
-		if fn.Name() != "Background" && fn.Name() != "TODO" {
-			return true
-		}
-		switch {
-		case len(ctxParams) > 0:
-			diags = append(diags, Diagnostic{
-				Analyzer: "ctxflow",
-				Pos:      u.Fset.Position(call.Pos()),
-				Message: "context." + fn.Name() + "() inside a function that already receives a ctx; " +
-					"derive from the parameter so the caller's deadline and cancellation propagate",
-			})
-		case inReq:
-			diags = append(diags, Diagnostic{
-				Analyzer: "ctxflow",
-				Pos:      u.Fset.Position(call.Pos()),
-				Message: "context." + fn.Name() + "() in a request-path package detaches work from the " +
-					"caller's deadline; accept a ctx parameter and derive from it",
-			})
-		}
-		return true
-	})
-
-	// Rule: a received ctx must be used, not dropped, when ctx-taking
-	// callees are in play.
-	for _, p := range ctxParams {
-		if p.Name() == "_" {
-			continue
-		}
-		if objUsed(pkg, body, p) {
-			continue
-		}
-		if callee := firstInternalCtxCall(pkg, body, internalCtxFuncs); callee != "" {
-			diags = append(diags, Diagnostic{
-				Analyzer: "ctxflow",
-				Pos:      u.Fset.Position(p.Pos()),
-				Message: "ctx parameter " + p.Name() + " is never used, but the body calls " + callee +
-					", which accepts a context; thread the caller's ctx through instead of dropping its deadline",
-			})
-		}
-	}
-
-	// Rule: every derived cancel is handled on every path.
-	diags = append(diags, checkCancelFlow(u, pkg, body)...)
-	return diags
-}
-
-// ctxParamObjs returns the context.Context parameters of a function
-// type.
-func ctxParamObjs(pkg *Package, ftype *ast.FuncType) []*types.Var {
-	var out []*types.Var
-	if ftype == nil || ftype.Params == nil {
-		return nil
-	}
-	for _, field := range ftype.Params.List {
-		for _, name := range field.Names {
-			if obj, ok := pkg.Info.Defs[name].(*types.Var); ok && isContextType(obj.Type()) {
-				out = append(out, obj)
+		// Rule: no fresh root context where the caller's deadline
+		// already flows in. (The request-path ban is a ForbiddenCalls
+		// row, applied below to the calls not reported here.)
+		firstCtxCallee := ""
+		for _, cs := range r.calls {
+			name := cs.callee.Name()
+			mintsRoot := cs.callee.Pkg() != nil && cs.callee.Pkg().Path() == "context" && (name == "Background" || name == "TODO")
+			if mintsRoot && len(ctxParams) > 0 {
+				reported[cs.call] = true
+				diags = append(diags, ix.diag("ctxflow", cs.call.Pos(), "context."+name+
+					"() inside a function that already receives a ctx; "+
+					"derive from the parameter so the caller's deadline and cancellation propagate"))
+			}
+			if firstCtxCallee == "" && ix.decls[cs.callee] != nil && takesCtx(cs.callee) {
+				firstCtxCallee = name
 			}
 		}
+
+		// Rule: a received ctx must be used, not dropped, when ctx-taking
+		// module functions are called.
+		for _, p := range ctxParams {
+			if p.Name() != "_" && firstCtxCallee != "" && !objUsed(info, r.body, p) {
+				diags = append(diags, ix.diag("ctxflow", p.Pos(), "ctx parameter "+p.Name()+
+					" is never used, but the body calls "+firstCtxCallee+
+					", which accepts a context; thread the caller's ctx through instead of dropping its deadline"))
+			}
+		}
+
+		diags = append(diags, checkCancelFlow(ix, r)...)
 	}
-	return out
+	return append(diags, forbiddenCalls(ix, "ctxflow", reported)...)
 }
 
-// shallowInspect walks body without descending into nested function
-// literals (each literal is its own root).
-func shallowInspect(body *ast.BlockStmt, visit func(n ast.Node) bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
+// takesCtx reports whether fn has a context.Context parameter.
+func takesCtx(fn *types.Func) bool {
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if isContextType(params.At(i).Type()) {
+			return true
 		}
-		return visit(n)
-	})
+	}
+	return false
 }
 
 // objUsed reports whether obj is referenced anywhere in body, including
 // inside nested literals (a closure capturing the ctx counts as use).
-func objUsed(pkg *Package, body *ast.BlockStmt, obj types.Object) bool {
+func objUsed(info *types.Info, body *ast.BlockStmt, obj types.Object) bool {
 	used := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pkg.Info.Uses[id] == obj {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
 			used = true
 		}
 		return !used
@@ -202,158 +111,66 @@ func objUsed(pkg *Package, body *ast.BlockStmt, obj types.Object) bool {
 	return used
 }
 
-// firstInternalCtxCall returns the name of the first module-internal
-// ctx-taking function the body calls (excluding nested literals), or
-// "".
-func firstInternalCtxCall(pkg *Package, body *ast.BlockStmt, internalCtxFuncs map[*types.Func]bool) string {
-	name := ""
-	shallowInspect(body, func(n ast.Node) bool {
-		if name != "" {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := funcOf(pkg.Info, call); fn != nil && internalCtxFuncs[fn] {
-				name = fn.Name()
-				return false
-			}
-		}
-		return true
-	})
-	return name
-}
-
-// cancelFact is the set of cancel objects handled (called, deferred, or
-// escaped) on every path to this point — a must-analysis.
-type cancelFact map[types.Object]bool
-
 // checkCancelFlow tracks context.CancelFunc bindings in one root and
 // demands each is handled on every path to exit.
-func checkCancelFlow(u *Unit, pkg *Package, body *ast.BlockStmt) []Diagnostic {
+func checkCancelFlow(ix *funcIndex, r *funcRoot) []Diagnostic {
+	info := r.pkg.Info
 	var diags []Diagnostic
 	// Collect the cancels this root derives.
-	type binding struct {
-		obj types.Object
-		pos ast.Node
-	}
-	var cancels []binding
-	shallowInspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 2 {
-			return true
-		}
-		if _, ok := as.Rhs[0].(*ast.CallExpr); !ok {
-			return true
+	tracked := map[types.Object]*ast.Ident{}
+	each(r.body, func(as *ast.AssignStmt) {
+		if len(as.Rhs) != 1 || len(as.Lhs) != 2 {
+			return
 		}
 		id, ok := as.Lhs[1].(*ast.Ident)
-		if !ok {
-			return true
+		if _, isCall := as.Rhs[0].(*ast.CallExpr); !ok || !isCall {
+			return
 		}
 		if id.Name == "_" {
 			// Is the discarded value a CancelFunc? Check the call's
 			// second result type.
-			if tv, ok := pkg.Info.Types[as.Rhs[0]]; ok {
-				if tup, ok := tv.Type.(*types.Tuple); ok && tup.Len() == 2 && isCancelFuncType(tup.At(1).Type()) {
-					diags = append(diags, Diagnostic{
-						Analyzer: "ctxflow",
-						Pos:      u.Fset.Position(id.Pos()),
-						Message:  "cancel function discarded as _; the derived context's timer and watcher goroutine leak until the parent dies — bind it and defer cancel()",
-					})
-				}
+			if tup, ok := info.TypeOf(as.Rhs[0]).(*types.Tuple); ok && tup.Len() == 2 && isCancelFuncType(tup.At(1).Type()) {
+				diags = append(diags, ix.diag("ctxflow", id.Pos(), "cancel function discarded as _; the derived context's "+
+					"timer and watcher goroutine leak until the parent dies — bind it and defer cancel()"))
 			}
-			return true
+		} else if obj, ok := info.Defs[id].(*types.Var); ok && isCancelFuncType(obj.Type()) {
+			tracked[obj] = id
 		}
-		obj, ok := pkg.Info.Defs[id].(*types.Var)
-		if ok && isCancelFuncType(obj.Type()) {
-			cancels = append(cancels, binding{obj, id})
-		}
-		return true
 	})
-	if len(cancels) == 0 {
+	if len(tracked) == 0 {
 		return diags
 	}
-
-	tracked := map[types.Object]bool{}
-	for _, c := range cancels {
-		tracked[c.obj] = true
-	}
-	fx := Facts[cancelFact]{
-		Join: func(a, b cancelFact) cancelFact { // must: intersection
-			out := cancelFact{}
-			for k := range a {
-				if b[k] {
-					out[k] = true
-				}
-			}
-			return out
-		},
-		Equal: func(a, b cancelFact) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k := range a {
-				if !b[k] {
-					return false
-				}
+	// Must-analysis: the cancels handled on every path to this point.
+	// Any mention of the cancel object — a call, a defer, an argument, a
+	// store, a capture in a literal — counts as handled: escapes are
+	// accepted optimistically. The Defs ident of the derivation itself is
+	// not a Use, so the binding statement does not self-satisfy; deferred
+	// cancels count at their registration point.
+	fx := setFacts(mustJoin, func(f objSet, n ast.Node) objSet {
+		ast.Inspect(n, func(m ast.Node) bool {
+			if id, ok := m.(*ast.Ident); ok && tracked[info.Uses[id]] != nil {
+				f = f.with(info.Uses[id], struct{}{})
 			}
 			return true
-		},
-		Transfer: func(f cancelFact, n ast.Node) cancelFact {
-			// Any mention of the cancel object — a call, a defer, an
-			// argument, a store, a capture in a literal — counts as
-			// handled: escapes are accepted optimistically. The Defs
-			// ident of the derivation itself is not a Use, so the
-			// binding statement does not self-satisfy.
-			var hit []types.Object
-			ast.Inspect(n, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok {
-					if obj := pkg.Info.Uses[id]; obj != nil && tracked[obj] && !f[obj] {
-						hit = append(hit, obj)
-					}
-				}
-				return true
-			})
-			if len(hit) == 0 {
-				return f
-			}
-			out := make(cancelFact, len(f)+len(hit))
-			for k := range f {
-				out[k] = true
-			}
-			for _, obj := range hit {
-				out[obj] = true
-			}
-			return out
-		},
-	}
-	cfg := BuildCFG(body)
-	ins := Forward(cfg, cancelFact{}, fx)
-	exit, reachable := ExitFact(cfg, ins)
+		})
+		return f
+	})
+	exit, reachable := ExitFact(r.cfg, Forward(r.cfg, nil, fx))
 	if !reachable {
 		return diags
 	}
-	// Replay transfers over the exit block's predecessors is already
-	// folded into the exit in-fact; deferred cancels appeared as
-	// in-flow mentions at their registration point.
-	for _, c := range cancels {
-		if !exit[c.obj] {
-			diags = append(diags, Diagnostic{
-				Analyzer: "ctxflow",
-				Pos:      u.Fset.Position(c.pos.Pos()),
-				Message: "cancel function " + c.obj.Name() + " is not called on every path to return; " +
-					"a path that skips it leaks the context's timer and watcher goroutine — defer " +
-					c.obj.Name() + "() immediately after deriving",
-			})
+	for obj, id := range tracked {
+		if !exit.has(obj) {
+			diags = append(diags, ix.diag("ctxflow", id.Pos(), "cancel function "+obj.Name()+
+				" is not called on every path to return; a path that skips it leaks the context's timer "+
+				"and watcher goroutine — defer "+obj.Name()+"() immediately after deriving"))
 		}
 	}
 	return diags
 }
 
-// isCancelFuncType reports whether t is context.CancelFunc (possibly
-// through a named alias chain).
-func isCancelFuncType(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "CancelFunc"
-}
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool { return isNamedType(t, "context", "Context") }
+
+// isCancelFuncType reports whether t is context.CancelFunc.
+func isCancelFuncType(t types.Type) bool { return isNamedType(t, "context", "CancelFunc") }

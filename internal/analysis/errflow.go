@@ -21,11 +21,12 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
 
-// errFlowScope lists the package-path suffixes the analyzer covers.
+// errFlowScope lists the packages the analyzer covers.
 var errFlowScope = []string{
 	"internal/scheduler",
 	"internal/cluster",
@@ -41,97 +42,20 @@ var ErrFlowAnalyzer = &Analyzer{
 	Run:  runErrFlow,
 }
 
-func runErrFlow(u *Unit) []Diagnostic {
+func runErrFlow(ix *funcIndex) []Diagnostic {
 	var diags []Diagnostic
-	for _, pkg := range u.Pkgs {
-		if !errFlowInScope(pkg.Path) {
+	for _, r := range ix.roots {
+		if !inScope(r.pkg.Path, errFlowScope) {
 			continue
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				diags = append(diags, sweepErrFlow(u, pkg, fd.Body, namedResultObjs(pkg, fd))...)
+		info := r.pkg.Info
+		each(r.body, func(stmt *ast.ExprStmt) {
+			if call, ok := stmt.X.(*ast.CallExpr); ok && returnsError(info, call) && !exemptDiscard(info, call) {
+				diags = append(diags, ix.diag("errflow", call.Pos(), "error result of "+calleeLabel(info, call)+
+					" is discarded; handle it, return it, or assign to _ deliberately"))
 			}
-		}
-	}
-	return diags
-}
-
-func errFlowInScope(path string) bool {
-	for _, s := range errFlowScope {
-		if strings.HasSuffix(path, s) || strings.Contains(path, s+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// namedResultObjs returns the objects of fd's named result parameters:
-// a bare `return` reads all of them.
-func namedResultObjs(pkg *Package, fd *ast.FuncDecl) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	if fd.Type.Results == nil {
-		return out
-	}
-	for _, field := range fd.Type.Results.List {
-		for _, name := range field.Names {
-			if obj := pkg.Info.Defs[name]; obj != nil {
-				out[obj] = true
-			}
-		}
-	}
-	return out
-}
-
-// sweepErrFlow checks one body; function literals recurse as separate
-// roots (a literal's named results are its own).
-func sweepErrFlow(u *Unit, pkg *Package, body *ast.BlockStmt, namedResults map[types.Object]bool) []Diagnostic {
-	cfg := BuildCFG(body)
-	var diags []Diagnostic
-	diags = append(diags, checkDiscards(u, pkg, cfg)...)
-	diags = append(diags, checkDeadAssigns(u, pkg, cfg, body, namedResults)...)
-	for _, lit := range cfg.FuncLits {
-		litResults := map[types.Object]bool{}
-		if lit.Type.Results != nil {
-			for _, field := range lit.Type.Results.List {
-				for _, name := range field.Names {
-					if obj := pkg.Info.Defs[name]; obj != nil {
-						litResults[obj] = true
-					}
-				}
-			}
-		}
-		diags = append(diags, sweepErrFlow(u, pkg, lit.Body, litResults)...)
-	}
-	return diags
-}
-
-// checkDiscards flags expression statements whose call returns an error
-// that vanishes.
-func checkDiscards(u *Unit, pkg *Package, cfg *CFG) []Diagnostic {
-	var diags []Diagnostic
-	for _, blk := range cfg.Blocks {
-		for _, n := range blk.Nodes {
-			stmt, ok := n.(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			call, ok := stmt.X.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			if !returnsError(pkg.Info, call) || exemptDiscard(pkg.Info, call) {
-				continue
-			}
-			diags = append(diags, Diagnostic{
-				Analyzer: "errflow",
-				Pos:      u.Fset.Position(call.Pos()),
-				Message:  "error result of " + calleeLabel(pkg.Info, call) + " is discarded; handle it, return it, or assign to _ deliberately",
-			})
-		}
+		})
+		diags = append(diags, checkDeadAssigns(ix, r)...)
 	}
 	return diags
 }
@@ -193,48 +117,33 @@ func calleeLabel(info *types.Info, call *ast.CallExpr) string {
 	return types.ExprString(call.Fun)
 }
 
-// errDef is one assignment of an error value to a local variable.
-type errDef struct {
-	assign *ast.AssignStmt
-	obj    types.Object
-	name   string
-	block  *Block
-	index  int // position of the assign node within block.Nodes
-}
-
 // checkDeadAssigns flags error variables assigned from a call and never
 // read on any path before redefinition or exit.
-func checkDeadAssigns(u *Unit, pkg *Package, cfg *CFG, body *ast.BlockStmt, namedResults map[types.Object]bool) []Diagnostic {
-	captured := capturedObjs(pkg, cfg)
-	var diags []Diagnostic
-	for _, def := range collectErrDefs(pkg, cfg) {
-		if captured[def.obj] || namedResults[def.obj] {
-			continue
-		}
-		if def.obj.Pos() < body.Pos() || def.obj.Pos() > body.End() {
-			continue // parameter or package-level var: reads happen elsewhere
-		}
-		if !defEverRead(pkg, cfg, def, namedResults) {
-			diags = append(diags, Diagnostic{
-				Analyzer: "errflow",
-				Pos:      u.Fset.Position(def.assign.Pos()),
-				Message:  "error assigned to " + def.name + " is never read on any path; handle it or discard with _",
-			})
+func checkDeadAssigns(ix *funcIndex, r *funcRoot) []Diagnostic {
+	info := r.pkg.Info
+	// A bare return reads the named results; objects referenced inside a
+	// function literal may be read beyond this CFG.
+	exempt := map[types.Object]bool{}
+	if r.typ.Results != nil {
+		for _, field := range r.typ.Results.List {
+			for _, name := range field.Names {
+				exempt[info.Defs[name]] = true
+			}
 		}
 	}
-	return diags
-}
-
-// collectErrDefs finds assignments of call results to local error vars.
-func collectErrDefs(pkg *Package, cfg *CFG) []errDef {
-	var defs []errDef
-	for _, blk := range cfg.Blocks {
-		for i, n := range blk.Nodes {
-			as, ok := unwrapAssign(n)
-			if !ok {
-				continue
+	for _, lit := range r.cfg.FuncLits {
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+				exempt[info.Uses[id]] = true
 			}
-			if !rhsHasCall(as) {
+			return true
+		})
+	}
+	var diags []Diagnostic
+	for _, blk := range r.cfg.Blocks {
+		for i, n := range blk.Nodes {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || !rhsHasCall(as) {
 				continue
 			}
 			for _, lhs := range as.Lhs {
@@ -242,175 +151,81 @@ func collectErrDefs(pkg *Package, cfg *CFG) []errDef {
 				if !ok || id.Name == "_" {
 					continue
 				}
-				obj := pkg.Info.Defs[id]
-				if obj == nil {
-					obj = pkg.Info.Uses[id]
-				}
-				if obj == nil || !isErrorType(obj.Type()) {
+				obj := identObj(info, id)
+				if obj == nil || !isErrorType(obj.Type()) || exempt[obj] ||
+					obj.Pos() < r.body.Pos() || obj.Pos() > r.body.End() { // parameter or package-level var
 					continue
 				}
-				defs = append(defs, errDef{assign: as, obj: obj, name: id.Name, block: blk, index: i})
+				if !defEverRead(info, obj, blk, i) {
+					diags = append(diags, ix.diag("errflow", as.Pos(), "error assigned to "+id.Name+
+						" is never read on any path; handle it or discard with _"))
+				}
 			}
 		}
 	}
-	return defs
-}
-
-// unwrapAssign extracts the AssignStmt from a CFG node: a direct
-// statement, or the Init of an if/for/switch recorded as its own node.
-func unwrapAssign(n ast.Node) (*ast.AssignStmt, bool) {
-	as, ok := n.(*ast.AssignStmt)
-	return as, ok
+	return diags
 }
 
 // rhsHasCall reports whether the assignment's RHS contains a call (the
 // analyzer only tracks errors produced by calls, not re-shuffles).
 func rhsHasCall(as *ast.AssignStmt) bool {
+	found := false
 	for _, rhs := range as.Rhs {
-		found := false
 		ast.Inspect(rhs, func(n ast.Node) bool {
-			if _, ok := n.(*ast.CallExpr); ok {
-				found = true
-			}
+			_, isCall := n.(*ast.CallExpr)
+			found = found || isCall
 			return !found
 		})
-		if found {
-			return true
-		}
 	}
-	return false
+	return found
 }
 
-// capturedObjs returns the objects referenced inside any function
-// literal of the body — their reads may happen beyond this CFG.
-func capturedObjs(pkg *Package, cfg *CFG) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	var scan func(lit *ast.FuncLit)
-	scan = func(lit *ast.FuncLit) {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := pkg.Info.Uses[id]; obj != nil {
-					out[obj] = true
-				}
+// defEverRead walks forward from the definition at blk.Nodes[i]
+// looking for a read of obj before a redefinition kills it on that path.
+func defEverRead(info *types.Info, obj types.Object, blk *Block, i int) bool {
+	// scan reports whether nodes read obj, or else kill it, first.
+	scan := func(nodes []ast.Node) (read, killed bool) {
+		for _, n := range nodes {
+			if read, killed = nodeFate(info, n, obj); read || killed {
+				return read, killed
 			}
-			return true
-		})
-	}
-	for _, lit := range cfg.FuncLits {
-		scan(lit)
-	}
-	return out
-}
-
-// defEverRead walks forward from the definition looking for a read of
-// def.obj before a redefinition kills it on that path.
-func defEverRead(pkg *Package, cfg *CFG, def errDef, namedResults map[types.Object]bool) bool {
-	// Tail of the defining block first.
-	for _, n := range def.block.Nodes[def.index+1:] {
-		switch scanNodeForObj(pkg, n, def.obj, namedResults) {
-		case objRead:
-			return true
-		case objKilled:
-			return false
 		}
+		return false, false
 	}
-	// Then breadth-first over successors.
-	seen := map[*Block]bool{def.block: true}
-	work := append([]*Block(nil), def.block.Succs...)
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		if seen[blk] {
-			continue
-		}
-		seen[blk] = true
-		killed := false
-		for _, n := range blk.Nodes {
-			switch scanNodeForObj(pkg, n, def.obj, namedResults) {
-			case objRead:
+	if read, killed := scan(blk.Nodes[i+1:]); read || killed {
+		return read
+	}
+	seen := map[*Block]bool{blk: true} // a loop back to the defining block is not rescanned
+	for work := append([]*Block(nil), blk.Succs...); len(work) > 0; work = work[1:] {
+		if b := work[0]; !seen[b] {
+			seen[b] = true
+			read, killed := scan(b.Nodes)
+			if read {
 				return true
-			case objKilled:
-				killed = true
 			}
-			if killed {
-				break
+			if !killed {
+				work = append(work, b.Succs...)
 			}
-		}
-		if !killed {
-			work = append(work, blk.Succs...)
 		}
 	}
 	return false
 }
 
-type objFate int
-
-const (
-	objUntouched objFate = iota
-	objRead
-	objKilled
-)
-
-// scanNodeForObj classifies one CFG node's effect on obj: a read
-// anywhere in the node wins over a kill (in `err = wrap(err)` the RHS
-// reads the old value before the LHS redefines it).
-func scanNodeForObj(pkg *Package, n ast.Node, obj types.Object, namedResults map[types.Object]bool) objFate {
-	read, killed := false, false
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			return false // captured objs are excluded upfront
-		case *ast.AssignStmt:
-			for _, lhs := range m.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					if pkg.Info.Defs[id] == obj || pkg.Info.Uses[id] == obj {
-						killed = true
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			if m.Results == nil && len(namedResults) > 0 {
-				// A bare return reads every named result.
-				if namedResults[obj] {
-					read = true
-				}
-			}
-		case *ast.Ident:
-			if pkg.Info.Uses[m] == obj && !isAssignTarget(n, m) {
-				read = true
+// nodeFate classifies one CFG node's effect on obj: a read anywhere in
+// the node wins over a kill (in `err = wrap(err)` the RHS reads the old
+// value before the LHS redefines it).
+func nodeFate(info *types.Info, n ast.Node, obj types.Object) (read, killed bool) {
+	targets := map[*ast.Ident]bool{}
+	each(n, func(as *ast.AssignStmt) {
+		for _, lhs := range as.Lhs {
+			if id, ok := lhs.(*ast.Ident); ok {
+				targets[id] = as.Tok == token.ASSIGN || as.Tok == token.DEFINE
+				killed = killed || identObj(info, id) == obj
 			}
 		}
-		return true
 	})
-	if read {
-		return objRead
-	}
-	if killed {
-		return objKilled
-	}
-	return objUntouched
-}
-
-// isAssignTarget reports whether id appears as a plain LHS ident of an
-// assignment within root (such an occurrence is a write, not a read).
-func isAssignTarget(root ast.Node, id *ast.Ident) bool {
-	target := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok && as.Tok.String() == "=" {
-			for _, lhs := range as.Lhs {
-				if lhs == id {
-					target = true
-				}
-			}
-		}
-		if as, ok := n.(*ast.AssignStmt); ok && as.Tok.String() == ":=" {
-			for _, lhs := range as.Lhs {
-				if lhs == id {
-					target = true
-				}
-			}
-		}
-		return !target
+	each(n, func(id *ast.Ident) {
+		read = read || (info.Uses[id] == obj && !targets[id])
 	})
-	return target
+	return read, killed
 }

@@ -104,7 +104,7 @@ func TestAtomicSnapshotAcceptsGoodCorpus(t *testing.T) {
 // silenced; the stale directive on a clean read is reported.
 func TestAtomicSnapshotSuppression(t *testing.T) {
 	u := loadCorpus(t, "atomicsnapshot/suppress", "github.com/tanklab/infless/internal/gateway/assupp")
-	u.Snapshots = snapshotContractsCorpus
+	u.Snapshots = snapshotContractsCorpus[:1] // the corpus declares only table; a list row would be stale
 	active, suppressed := RunAllDetail(u, []*Analyzer{AtomicSnapshotAnalyzer})
 	if len(active) != 1 {
 		t.Fatalf("want exactly the stale-directive diagnostic, got %v", active)
@@ -114,6 +114,48 @@ func TestAtomicSnapshotSuppression(t *testing.T) {
 	}
 	if len(suppressed) != 1 || suppressed[0].Analyzer != "atomicsnapshot" {
 		t.Fatalf("want one suppressed atomicsnapshot finding, got %v", suppressed)
+	}
+}
+
+// TestStaleContractRows: a PoolContracts or SnapshotContracts row that
+// no longer resolves is reported instead of silently switching its rule
+// off, like a stale ChannelContracts row.
+func TestStaleContractRows(t *testing.T) {
+	cases := []struct {
+		name, corpus, path string
+		set                func(u *Unit)
+		analyzer           *Analyzer
+		want               string
+	}{
+		{"renamed sync pool", "poolcontract/syncgood", "github.com/tanklab/infless/internal/gateway/pcstale",
+			func(u *Unit) { u.Pools = []PoolContract{{Kind: PoolSync, PoolVar: "zzRenamedPool", Why: "corpus"}} },
+			PoolContractAnalyzer, "stale PoolContract: zzRenamedPool does not resolve"},
+		{"renamed scheduled type", "poolcontract/good", "github.com/tanklab/infless/internal/sim/prstale",
+			func(u *Unit) {
+				u.Pools = []PoolContract{{Kind: PoolScheduled, TypePkg: "internal/simclock", TypeName: "Evnt",
+					AcquireFuncs: []string{"Clock.ScheduleAt", "Clock.ScheduleAfter"}, Why: "corpus"}}
+			},
+			PoolContractAnalyzer, "stale PoolContract: *simclock.Evnt does not resolve in internal/simclock"},
+		{"unresolved writer mutex", "atomicsnapshot/good", "github.com/tanklab/infless/internal/gateway/asstale",
+			func(u *Unit) {
+				u.Snapshots = []SnapshotContract{{Pkg: "internal/gateway", Type: "table", Field: "v", Mutex: "writeMu", Why: "corpus"}}
+			},
+			AtomicSnapshotAnalyzer, "stale SnapshotContract: table.v (writer mutex writeMu) does not resolve in internal/gateway"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			u := loadCorpus(t, tc.corpus, tc.path)
+			tc.set(u)
+			var stale []Diagnostic
+			for _, d := range RunAll(u, []*Analyzer{tc.analyzer}) {
+				if strings.Contains(d.Message, "stale ") {
+					stale = append(stale, d)
+				}
+			}
+			if len(stale) != 1 || !strings.Contains(stale[0].Message, tc.want) {
+				t.Fatalf("want one stale-row diagnostic containing %q, got %v", tc.want, stale)
+			}
+		})
 	}
 }
 

@@ -54,230 +54,73 @@ var GoroutineLifeAnalyzer = &Analyzer{
 	Run:  runGoroutineLife,
 }
 
-func runGoroutineLife(u *Unit) []Diagnostic {
-	closers := closeSites(u)
-	decls := declBodies(u)
+func runGoroutineLife(ix *funcIndex) []Diagnostic {
 	var diags []Diagnostic
-	for _, pkg := range u.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				forEachRoot(fd.Body, func(root *ast.BlockStmt) {
-					diags = append(diags, sweepGoStmts(u, pkg, root, closers, decls)...)
-				})
-			}
-		}
+	for _, r := range ix.roots {
+		each(r.body, func(gs *ast.GoStmt) {
+			lit, isLit := gs.Call.Fun.(*ast.FuncLit)
+			if isLit {
+				diags = append(diags, checkSpawnedBody(ix, r.pkg, gs, lit.Body)...)
+				diags = append(diags, checkBlockedSend(ix, r.pkg, gs, lit.Body, r.body)...)
+			} else if fn := funcOf(r.pkg.Info, gs.Call); fn != nil && ix.decls[fn] != nil {
+				diags = append(diags, checkSpawnedBody(ix, r.pkg, gs, ix.decls[fn].body)...)
+			} // else dynamic dispatch: unresolvable, an accepted approximation
+		})
 	}
-	return diags
-}
-
-// declBodies indexes every declared function's body for the
-// `go helper()` resolution.
-func declBodies(u *Unit) map[*types.Func]*ast.BlockStmt {
-	idx := map[*types.Func]*ast.BlockStmt{}
-	for _, pkg := range u.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					idx[obj] = fd.Body
-				}
-			}
-		}
-	}
-	return idx
-}
-
-// closeSites maps every channel object (field or variable) to the
-// positions of the module's static close(...) calls on it, in file
-// order. Both goroutinelife (is there a close owner at all?) and
-// chanlife (are there exactly as many as declared?) read this index.
-func closeSites(u *Unit) map[types.Object][]token.Pos {
-	sites := map[types.Object][]token.Pos{}
-	for _, pkg := range u.Pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "close" || len(call.Args) != 1 {
-					return true
-				}
-				if obj := chanTargetObj(pkg, call.Args[0]); obj != nil {
-					sites[obj] = append(sites[obj], call.Pos())
-				}
-				return true
-			})
-		}
-	}
-	return sites
-}
-
-// chanTargetObj resolves a channel expression (possibly an element of a
-// slice/map of channels) to the field or variable object it lives in.
-func chanTargetObj(pkg *Package, e ast.Expr) types.Object {
-	e = unwrapAlias(e)
-	if idx, ok := e.(*ast.IndexExpr); ok {
-		e = unwrapAlias(idx.X)
-	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		if obj, ok := pkg.Info.Uses[e].(*types.Var); ok {
-			return obj
-		}
-		if obj, ok := pkg.Info.Defs[e].(*types.Var); ok {
-			return obj
-		}
-	case *ast.SelectorExpr:
-		if s, ok := pkg.Info.Selections[e]; ok && s.Kind() == types.FieldVal {
-			return s.Obj()
-		}
-	}
-	return nil
-}
-
-// forEachRoot visits body and every function literal inside it as
-// separate analysis roots (literals shallowly, mirroring the CFG's
-// FuncLit discipline).
-func forEachRoot(body *ast.BlockStmt, visit func(*ast.BlockStmt)) {
-	visit(body)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			forEachRoot(lit.Body, visit)
-			return false
-		}
-		return true
-	})
-}
-
-// sweepGoStmts checks every `go` statement syntactically in root
-// (excluding nested literals, which are their own roots).
-func sweepGoStmts(u *Unit, pkg *Package, root *ast.BlockStmt, closers map[types.Object][]token.Pos, decls map[*types.Func]*ast.BlockStmt) []Diagnostic {
-	var diags []Diagnostic
-	ast.Inspect(root, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		gs, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		var body *ast.BlockStmt
-		isLit := false
-		if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
-			body, isLit = lit.Body, true
-		} else if fn := funcOf(pkg.Info, gs.Call); fn != nil {
-			body = decls[fn]
-		}
-		if body == nil {
-			return true // dynamic dispatch: unresolvable, accepted approximation
-		}
-		diags = append(diags, checkSpawnedBody(u, pkg, gs, body, closers)...)
-		if isLit {
-			diags = append(diags, checkBlockedSend(u, pkg, gs, body, root, closers)...)
-		}
-		return true
-	})
 	return diags
 }
 
 // checkSpawnedBody demands a termination path for every unbounded loop
 // in the spawned body.
-func checkSpawnedBody(u *Unit, pkg *Package, gs *ast.GoStmt, body *ast.BlockStmt, closers map[types.Object][]token.Pos) []Diagnostic {
+func checkSpawnedBody(ix *funcIndex, pkg *Package, gs *ast.GoStmt, body *ast.BlockStmt) []Diagnostic {
 	var diags []Diagnostic
-	report := func(msg string) {
-		diags = append(diags, Diagnostic{
-			Analyzer: "goroutinelife",
-			Pos:      u.Fset.Position(gs.Pos()),
-			Message:  msg,
-		})
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
+	line := func(n ast.Node) string { return strconv.Itoa(ix.Fset.Position(n.Pos()).Line) }
+	each(body, func(n ast.Node) {
 		switch loop := n.(type) {
 		case *ast.RangeStmt:
-			t, ok := pkg.Info.Types[loop.X]
-			if !ok {
-				return true
-			}
-			if _, isChan := t.Type.Underlying().(*types.Chan); !isChan {
-				return true // slices/maps/ints terminate by construction
-			}
-			obj := chanTargetObj(pkg, loop.X)
-			if obj == nil {
-				return true // unresolvable channel expression: accepted approximation
-			}
-			if len(closers[obj]) == 0 {
-				report("goroutine ranges over channel " + obj.Name() + " (line " +
-					strconv.Itoa(u.Fset.Position(loop.Pos()).Line) +
-					") but nothing in the module closes it; the loop, and the goroutine, can never end")
+			// Slices, maps and ints terminate by construction; an
+			// unresolvable channel expression is an accepted approximation.
+			if t, ok := pkg.Info.Types[loop.X]; ok && isChan(t.Type) {
+				if obj := chanTargetObj(pkg, loop.X); obj != nil && len(ix.closes[obj]) == 0 {
+					diags = append(diags, ix.diag("goroutinelife", gs.Pos(), "goroutine ranges over channel "+obj.Name()+
+						" (line "+line(loop)+") but nothing in the module closes it; the loop, and the goroutine, can never end"))
+				}
 			}
 		case *ast.ForStmt:
-			if loop.Cond != nil && loop.Post != nil {
-				return true // three-clause counter loop: bounded by construction
-			}
-			if !loopHasExitSignal(pkg, loop, closers) {
-				report("goroutine has no provable termination: the loop at line " +
-					strconv.Itoa(u.Fset.Position(loop.Pos()).Line) +
-					" neither receives on a channel anyone closes nor consults a context; " +
-					"select on a stop channel or ctx.Done() inside the loop")
+			// A three-clause counter loop is bounded by construction.
+			if (loop.Cond == nil || loop.Post == nil) && !loopHasExitSignal(ix, pkg, loop) {
+				diags = append(diags, ix.diag("goroutinelife", gs.Pos(), "goroutine has no provable termination: the loop at line "+
+					line(loop)+" neither receives on a channel anyone closes nor consults a context; "+
+					"select on a stop channel or ctx.Done() inside the loop"))
 			}
 		}
-		return true
 	})
 	return diags
+}
+
+func isChan(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Chan)
+	return ok
 }
 
 // loopHasExitSignal reports whether the loop (condition plus body,
 // excluding nested function literals) contains a receive from a channel
 // with a resolved close site, a receive from ctx.Done(), or a condition
 // consulting ctx.Err().
-func loopHasExitSignal(pkg *Package, loop *ast.ForStmt, closers map[types.Object][]token.Pos) bool {
+func loopHasExitSignal(ix *funcIndex, pkg *Package, loop *ast.ForStmt) bool {
 	found := false
-	scan := func(n ast.Node) {
-		if n == nil {
-			return
-		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			if found {
-				return false
-			}
-			if _, ok := m.(*ast.FuncLit); ok {
-				return false
-			}
-			switch m := m.(type) {
+	for _, part := range []ast.Node{loop.Cond, loop.Body} {
+		each(part, func(n ast.Node) {
+			switch m := n.(type) {
 			case *ast.UnaryExpr:
-				if m.Op != token.ARROW {
-					return true
-				}
-				if isCtxMethodCall(pkg, m.X, "Done") {
-					found = true
-					return false
-				}
-				if obj := chanTargetObj(pkg, m.X); obj != nil && len(closers[obj]) > 0 {
-					found = true
-					return false
-				}
+				obj := chanTargetObj(pkg, m.X)
+				found = found || (m.Op == token.ARROW &&
+					(isCtxMethodCall(pkg, m.X, "Done") || (obj != nil && len(ix.closes[obj]) > 0)))
 			case *ast.CallExpr:
-				if isCtxMethodCall(pkg, m, "Err") {
-					found = true
-					return false
-				}
+				found = found || isCtxMethodCall(pkg, m, "Err")
 			}
-			return true
 		})
 	}
-	scan(loop.Cond)
-	scan(loop.Body)
 	return found
 }
 
@@ -296,42 +139,18 @@ func isCtxMethodCall(pkg *Package, e ast.Expr, method string) bool {
 	return ok && isContextType(t.Type)
 }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "Context"
-}
-
 // checkBlockedSend flags the timeout-path leak: the spawned literal
 // sends on an unbuffered channel made in the spawning function, and the
 // spawning function's receive sits in a select with an alternative arm.
-func checkBlockedSend(u *Unit, pkg *Package, gs *ast.GoStmt, body *ast.BlockStmt, encl *ast.BlockStmt, closers map[types.Object][]token.Pos) []Diagnostic {
+func checkBlockedSend(ix *funcIndex, pkg *Package, gs *ast.GoStmt, body *ast.BlockStmt, encl *ast.BlockStmt) []Diagnostic {
 	var diags []Diagnostic
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		send, ok := n.(*ast.SendStmt)
-		if !ok {
-			return true
-		}
+	each(body, func(send *ast.SendStmt) {
 		obj := chanTargetObj(pkg, send.Chan)
-		if obj == nil || !unbufferedLocalChan(pkg, encl, obj) {
-			return true
+		if obj != nil && unbufferedLocalChan(pkg, encl, obj) && selectCanAbandonReceive(pkg, encl, obj) {
+			diags = append(diags, ix.diag("goroutinelife", gs.Pos(), "goroutine sends on unbuffered "+obj.Name()+
+				" while the receiver sits in a multi-arm select; once the receiver takes "+
+				"another arm the send blocks forever — make "+obj.Name()+" buffered"))
 		}
-		if selectCanAbandonReceive(pkg, encl, obj) {
-			diags = append(diags, Diagnostic{
-				Analyzer: "goroutinelife",
-				Pos:      u.Fset.Position(gs.Pos()),
-				Message: "goroutine sends on unbuffered " + obj.Name() +
-					" while the receiver sits in a multi-arm select; once the receiver takes " +
-					"another arm the send blocks forever — make " + obj.Name() + " buffered",
-			})
-		}
-		return true
 	})
 	return diags
 }
@@ -340,38 +159,21 @@ func checkBlockedSend(u *Unit, pkg *Package, gs *ast.GoStmt, body *ast.BlockStmt
 // unbuffered make(chan T).
 func unbufferedLocalChan(pkg *Package, body *ast.BlockStmt, obj types.Object) bool {
 	unbuffered := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
+	each(body, func(as *ast.AssignStmt) {
 		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || pkg.Info.Defs[id] != obj {
+			if id, ok := lhs.(*ast.Ident); !ok || pkg.Info.Defs[id] != obj || len(as.Lhs) != len(as.Rhs) {
 				continue
 			}
 			call, ok := as.Rhs[i].(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "make" {
-				continue
-			}
-			if _, isChan := pkg.Info.Types[call].Type.Underlying().(*types.Chan); !isChan {
+			if !ok || !isBuiltin(pkg.Info, call, "make") || !isChan(pkg.Info.TypeOf(call)) {
 				continue
 			}
 			if len(call.Args) == 1 {
 				unbuffered = true
-			} else if len(call.Args) == 2 {
-				if tv, ok := pkg.Info.Types[call.Args[1]]; ok && tv.Value != nil && tv.Value.String() == "0" {
-					unbuffered = true
-				}
+			} else if tv := pkg.Info.Types[call.Args[1]]; tv.Value != nil && tv.Value.String() == "0" {
+				unbuffered = true
 			}
 		}
-		return true
 	})
 	return unbuffered
 }
@@ -381,43 +183,14 @@ func unbufferedLocalChan(pkg *Package, body *ast.BlockStmt, obj types.Object) bo
 // the receiver can return without ever receiving.
 func selectCanAbandonReceive(pkg *Package, body *ast.BlockStmt, obj types.Object) bool {
 	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok || len(sel.Body.List) < 2 {
-			return true
-		}
+	each(body, func(sel *ast.SelectStmt) {
 		for _, c := range sel.Body.List {
-			comm := c.(*ast.CommClause)
-			if comm.Comm == nil {
-				continue
-			}
-			if recvTargets(pkg, comm.Comm, obj) {
-				found = true
-				return false
+			if comm := c.(*ast.CommClause).Comm; comm != nil && len(sel.Body.List) > 1 {
+				each(comm, func(u *ast.UnaryExpr) {
+					found = found || (u.Op == token.ARROW && chanTargetObj(pkg, u.X) == obj)
+				})
 			}
 		}
-		return true
 	})
 	return found
-}
-
-// recvTargets reports whether the select communication stmt receives
-// from obj.
-func recvTargets(pkg *Package, comm ast.Stmt, obj types.Object) bool {
-	hit := false
-	ast.Inspect(comm, func(n ast.Node) bool {
-		if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-			if chanTargetObj(pkg, u.X) == obj {
-				hit = true
-			}
-		}
-		return !hit
-	})
-	return hit
 }

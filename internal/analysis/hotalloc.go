@@ -54,15 +54,14 @@ const (
 	coldpathDirective = "lint:coldpath"
 )
 
-func runHotAlloc(u *Unit) []Diagnostic {
-	cg := buildCallGraph(u)
+func runHotAlloc(ix *funcIndex) []Diagnostic {
 	var diags []Diagnostic
 
 	// Directive collection: hotpath seeds, coldpath stops, misuse.
-	hot := map[*types.Func]bool{}
+	var seeds []*types.Func
 	cold := map[*types.Func]bool{}
 	docGroups := map[*ast.CommentGroup]bool{}
-	for _, pkg := range u.Pkgs {
+	for _, pkg := range ix.Pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -71,23 +70,15 @@ func runHotAlloc(u *Unit) []Diagnostic {
 				}
 				docGroups[fd.Doc] = true
 				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
 				switch pathDirective(fd.Doc) {
 				case hotpathDirective:
-					if fd.Body == nil {
-						continue
+					if ix.decls[fn] != nil {
+						seeds = append(seeds, fn)
 					}
-					hot[fn] = true
 				case coldpathDirective:
 					cold[fn] = true
 				}
 			}
-		}
-	}
-	for _, pkg := range u.Pkgs {
-		for _, f := range pkg.Files {
 			for _, group := range f.Comments {
 				if docGroups[group] {
 					continue
@@ -96,11 +87,8 @@ func runHotAlloc(u *Unit) []Diagnostic {
 					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 					if strings.HasPrefix(text, hotpathDirective) || strings.HasPrefix(text, coldpathDirective) {
 						name, _, _ := strings.Cut(text, " ")
-						diags = append(diags, Diagnostic{
-							Analyzer: "hotalloc",
-							Pos:      u.Fset.Position(c.Pos()),
-							Message:  "//" + name + " applies only to function declarations; move the directive onto the func it gates",
-						})
+						diags = append(diags, ix.diag("hotalloc", c.Pos(),
+							"//"+name+" applies only to function declarations; move the directive onto the func it gates"))
 					}
 				}
 			}
@@ -108,39 +96,24 @@ func runHotAlloc(u *Unit) []Diagnostic {
 	}
 
 	// Reachability: BFS from the hotpath seeds, stopping at coldpath.
-	root := map[*types.Func]*types.Func{} // reached fn → its hotpath seed
-	var work []*types.Func
-	for fn := range hot {
-		root[fn] = fn
-		work = append(work, fn)
+	seedOf := map[*types.Func]*types.Func{} // reached fn → its hotpath seed
+	for _, fn := range seeds {
+		seedOf[fn] = fn
 	}
-	for len(work) > 0 {
+	for work := seeds; len(work) > 0; work = work[1:] {
 		fn := work[0]
-		work = work[1:]
-		node := cg.nodes[fn]
-		if node == nil {
-			continue
-		}
-		for _, cs := range node.calls {
+		for _, cs := range ix.decls[fn].calls {
 			callee := cs.callee.Origin()
-			if cold[callee] {
-				continue
+			if _, seen := seedOf[callee]; !seen && !cold[callee] && ix.decls[callee] != nil {
+				seedOf[callee] = seedOf[fn]
+				work = append(work, callee)
 			}
-			if _, seen := root[callee]; seen || cg.nodes[callee] == nil {
-				continue
-			}
-			root[callee] = root[fn]
-			work = append(work, callee)
 		}
 	}
 
 	// Per reached function: scan the body for allocating constructs.
-	for fn, seed := range root {
-		node := cg.nodes[fn]
-		if node == nil || node.decl.Body == nil {
-			continue
-		}
-		diags = append(diags, scanHotBody(u, node.pkg, node.decl.Body, seed, cold)...)
+	for fn, seed := range seedOf {
+		diags = append(diags, scanHotBody(ix, ix.decls[fn], seed, cold)...)
 	}
 	return diags
 }
@@ -168,17 +141,13 @@ func hotRootSuffix(seed *types.Func) string {
 // Function literals are themselves findings (closure allocation), and
 // their bodies are not scanned further — the closure runs later, under
 // its own profile.
-func scanHotBody(u *Unit, pkg *Package, body *ast.BlockStmt, seed *types.Func, cold map[*types.Func]bool) []Diagnostic {
-	am := buildAliasMap(pkg.Info, body)
+func scanHotBody(ix *funcIndex, r *funcRoot, seed *types.Func, cold map[*types.Func]bool) []Diagnostic {
+	pkg := r.pkg
 	var diags []Diagnostic
 	report := func(pos token.Pos, what string) {
-		diags = append(diags, Diagnostic{
-			Analyzer: "hotalloc",
-			Pos:      u.Fset.Position(pos),
-			Message:  what + " allocates" + hotRootSuffix(seed),
-		})
+		diags = append(diags, ix.diag("hotalloc", pos, what+" allocates"+hotRootSuffix(seed)))
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(r.body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			report(n.Pos(), "closure literal")
@@ -205,7 +174,7 @@ func scanHotBody(u *Unit, pkg *Package, body *ast.BlockStmt, seed *types.Func, c
 				report(n.Pos(), "string concatenation")
 			}
 		case *ast.CallExpr:
-			diags = append(diags, scanHotCall(u, pkg, am, n, seed, cold)...)
+			scanHotCall(pkg, r.alias, n, cold, report)
 		}
 		return true
 	})
@@ -214,15 +183,7 @@ func scanHotBody(u *Unit, pkg *Package, body *ast.BlockStmt, seed *types.Func, c
 
 // scanHotCall applies the call-shaped checks: builtins, fmt, variadic
 // argument slices, and interface boxing of arguments.
-func scanHotCall(u *Unit, pkg *Package, am *aliasMap, call *ast.CallExpr, seed *types.Func, cold map[*types.Func]bool) []Diagnostic {
-	var diags []Diagnostic
-	report := func(pos token.Pos, what string) {
-		diags = append(diags, Diagnostic{
-			Analyzer: "hotalloc",
-			Pos:      u.Fset.Position(pos),
-			Message:  what + " allocates" + hotRootSuffix(seed),
-		})
-	}
+func scanHotCall(pkg *Package, am *aliasMap, call *ast.CallExpr, cold map[*types.Func]bool, report func(token.Pos, string)) {
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
@@ -235,7 +196,7 @@ func scanHotCall(u *Unit, pkg *Package, am *aliasMap, call *ast.CallExpr, seed *
 					report(call.Pos(), "append to a zero-capacity base")
 				}
 			}
-			return diags
+			return
 		}
 	}
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
@@ -243,21 +204,21 @@ func scanHotCall(u *Unit, pkg *Package, am *aliasMap, call *ast.CallExpr, seed *
 		if len(call.Args) == 1 && boxes(pkg, tv.Type, call.Args[0]) {
 			report(call.Pos(), "interface conversion of "+types.ExprString(call.Args[0]))
 		}
-		return diags
+		return
 	}
 	fn := funcOf(pkg.Info, call)
 	if fn != nil {
 		if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 			report(call.Pos(), "call to fmt."+fn.Name())
-			return diags
+			return
 		}
 		if cold[fn.Origin()] {
-			return diags // declared slow path: its call site may box/variadic
+			return // declared slow path: its call site may box/variadic
 		}
 	}
 	sig, _ := pkg.Info.TypeOf(call.Fun).(*types.Signature)
 	if sig == nil {
-		return diags
+		return
 	}
 	if sig.Variadic() && !call.Ellipsis.IsValid() && len(call.Args) >= sig.Params().Len() {
 		// A bare variadic call with at least one variadic argument
@@ -282,7 +243,6 @@ func scanHotCall(u *Unit, pkg *Package, am *aliasMap, call *ast.CallExpr, seed *
 			report(arg.Pos(), "interface boxing of "+types.ExprString(arg))
 		}
 	}
-	return diags
 }
 
 // isStringExpr reports whether e has string type.
@@ -315,26 +275,10 @@ func zeroCapBase(pkg *Package, am *aliasMap, e ast.Expr) bool {
 			return true
 		}
 		obj := identObj(pkg.Info, e)
-		if obj == nil {
-			return false
-		}
-		srcs := am.Sources(obj)
-		if len(srcs) == 0 {
-			return false
-		}
-		for _, src := range srcs {
-			switch {
-			case src.Zero:
-			case src.Unknown, src.Elem, src.Expr == nil:
-				return false
-			default:
-				lit, ok := unwrapAlias(src.Expr).(*ast.CompositeLit)
-				if !ok || len(lit.Elts) != 0 {
-					return false
-				}
-			}
-		}
-		return true
+		return obj != nil && am.everySource(obj, func(src ast.Expr) bool {
+			lit, ok := unwrapAlias(src).(*ast.CompositeLit)
+			return ok && len(lit.Elts) == 0
+		})
 	}
 	return false
 }

@@ -1,13 +1,17 @@
 package analysis
 
-// invariants.go is the declarative table behind the singledef analyzer:
-// the single-sourcing contracts established when the shared
+// invariants.go holds the suite's declarative tables; the analyzers
+// that read them are generic. SingleDefs and ForbiddenDecls are the
+// single-sourcing contracts established when the shared
 // internal/runtime layer was extracted (PR 1/2) and the placement index
-// was built (PR 3). Each entry says "this declaration exists exactly
+// was built (PR 3): each entry says "this declaration exists exactly
 // once in the module, in this file". They replace the grep guards that
 // used to live in scripts/check.sh — an AST-level check cannot be
 // false-positived by a comment or string literal, and cannot be
 // false-negatived by a renamed receiver or reformatted signature.
+// ForbiddenCalls bans calls in package scopes; SnapshotContracts,
+// PoolContracts and ChannelContracts declare publication, ownership
+// and channel-lifecycle disciplines, resolved by contract.go.
 
 // DeclKind classifies a top-level declaration.
 type DeclKind int
@@ -125,6 +129,22 @@ var SingleDefs = []SingleDef{
 		"the channel-discipline analyzer has one home"},
 	{KindFunc, "", "runCtxFlow", "internal/analysis/ctxflow.go",
 		"the context-hygiene analyzer has one home"},
+	{KindType, "", "funcIndex", "internal/analysis/index.go",
+		"one function index (roots, CFGs, alias maps, call sites, close sites) is built once per run for every analyzer"},
+	{KindMethod, "funcIndex", "fixpoint", "internal/analysis/index.go",
+		"the call-graph summaries (acquires, notifies, mutated params, fresh returners) share one fixpoint"},
+	{KindFunc, "", "lockStep", "internal/analysis/lockorder.go",
+		"lockorder, lockedcallback and atomicsnapshot share one lock-held transfer"},
+	{KindType, "", "ForbiddenCall", "internal/analysis/invariants.go",
+		"forbidden-call rules are declared in one table, next to the other invariants"},
+	{KindFunc, "", "forbiddenCalls", "internal/analysis/wallclock.go",
+		"wallclock, serverscan and ctxflow report their ForbiddenCalls rows through one runner"},
+	{KindMethod, "funcIndex", "resolveRow", "internal/analysis/contract.go",
+		"every contract table resolves through one resolver with one stale-row diagnostic"},
+	{KindFunc, "", "freshContainer", "internal/analysis/atomicsnapshot.go",
+		"the Store-side and return-side fresh-container checks share one classifier"},
+	{KindFunc, "", "containerWrites", "internal/analysis/atomicsnapshot.go",
+		"snapshot reads and the mutated-params summary share one container-mutation classifier"},
 	{KindMethod, "Instance", "trySubmit", "internal/runtime/instance.go",
 		"the submit decision (full batch now, partial at the head's deadline, hold while starting or busy) has one definition"},
 	{KindMethod, "Function", "Startup", "internal/runtime/instance.go",
@@ -294,6 +314,65 @@ var ChannelContracts = []ChannelContract{
 	{Pkg: "internal/bench", Func: "Options.parallelFor", Var: "idx",
 		Closers: 1,
 		Why:     "the sweep-point feed: the caller closes it after the last index; workers exit when the range drains"},
+}
+
+// ForbiddenCall bans calls to some functions of one package inside a
+// package scope. The wallclock, serverscan and ctxflow analyzers report
+// the rows naming them through one runner.
+type ForbiddenCall struct {
+	Analyzer string   // the analyzer that reports a banned call
+	Scope    []string // module-relative package scopes the ban applies in
+	Pkg      string   // the callee's package: an import path, or a module-relative suffix
+	Recv     string   // receiver base type for methods; "" bans package-level functions only
+	Funcs    []string // the banned names; nil bans every name not in Except
+	Except   []string
+	// Message is the diagnostic; {func} expands to the callee's name
+	// and {pkg} to the calling package's path.
+	Message string
+}
+
+// deterministicScopes are the packages under the byte-identical
+// determinism guarantee: the simulator runs real scheduling code against
+// simulated machines, so any wall-clock read or unordered iteration here
+// silently breaks -parallel N == -parallel 1.
+var deterministicScopes = []string{
+	"internal/artifact",
+	"internal/sim",
+	"internal/simclock",
+	"internal/scheduler",
+	"internal/cluster",
+	"internal/batching",
+	"internal/queueing",
+	"internal/runtime",
+	"internal/workload",
+	"internal/bench",
+}
+
+// ForbiddenCalls is the production forbidden-call table.
+var ForbiddenCalls = []ForbiddenCall{
+	// Reading or waiting on the host clock; conversions (time.Duration)
+	// and plain-value constructors (time.Unix) stay legal.
+	{Analyzer: "wallclock", Scope: deterministicScopes, Pkg: "time",
+		Funcs:   []string{"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "Tick", "NewTimer", "NewTicker"},
+		Message: "time.{func} in deterministic package {pkg}; route time through simclock or an injected clock"},
+	// The global rand stream; constructors of seeded sources stay legal,
+	// and so do methods on *rand.Rand.
+	{Analyzer: "wallclock", Scope: deterministicScopes, Pkg: "math/rand",
+		Except:  []string{"New", "NewSource", "NewZipf"},
+		Message: "global math/rand.{func} in deterministic package {pkg}; use a seeded *rand.Rand"},
+	{Analyzer: "wallclock", Scope: deterministicScopes, Pkg: "math/rand/v2",
+		Except:  []string{"New", "NewSource", "NewZipf"},
+		Message: "global math/rand.{func} in deterministic package {pkg}; use a seeded *rand.Rand"},
+	{Analyzer: "serverscan", Scope: []string{"internal/scheduler"}, Pkg: "internal/cluster", Recv: "Cluster",
+		Funcs: []string{"Servers", "EachServer"},
+		Message: "Cluster.{func}() scan in the scheduler; placement must go " +
+			"through cluster.BestFit/FirstFit (the sharded free-capacity indexes)"},
+	// Everything on the request path runs under a caller's deadline, so
+	// minting a root context there detaches work from cancellation.
+	{Analyzer: "ctxflow", Scope: []string{"internal/gateway", "internal/loadgen"}, Pkg: "context",
+		Funcs: []string{"Background", "TODO"},
+		Message: "context.{func}() in a request-path package detaches work from the " +
+			"caller's deadline; accept a ctx parameter and derive from it"},
 }
 
 // ForbiddenDecls is the production forbidden-declaration table.

@@ -1,24 +1,24 @@
 package analysis
 
-// lockedcallback is an intra-procedural check that runtime.Observer
-// callbacks and exported telemetry Collector methods are never invoked
-// between a mutex Lock and its Unlock in the gateway or telemetry
-// packages. Observers are arbitrary user code and Collector entry
-// points take their own locks; calling either while holding a lock is
-// the deadlock/reentrancy hazard class the race detector cannot see
-// (it needs an actual interleaving; this needs only the call graph
-// shape). The gateway's discipline is snapshot-under-lock, notify-after
-// — this analyzer keeps it that way.
+// lockedcallback checks that runtime.Observer callbacks and exported
+// telemetry Collector methods are never invoked while a mutex is held in
+// the gateway, telemetry and core packages. Observers are arbitrary user
+// code and Collector entry points take their own locks; calling either
+// while holding a lock is the deadlock/reentrancy hazard class the race
+// detector cannot see (it needs an actual interleaving; this needs only
+// the call graph shape). The gateway's discipline is snapshot-under-lock,
+// notify-after — this analyzer keeps it that way.
 //
-// The walk is source-order within one function body: Lock()/RLock() on
-// a receiver path (e.g. "f.mu") marks it held, Unlock()/RUnlock()
-// releases it, a deferred Unlock holds it to the end of the function.
-// Function literals are analyzed as separate bodies: a closure runs
-// later, when the enclosing lock is no longer (necessarily) held.
+// The held set is lockorder's flow-sensitive lock transfer: a lock
+// released on one branch is still held on the others, and a deferred
+// Unlock holds it to the end of the function. A call to a same-package
+// helper that notifies, directly or through further same-package
+// helpers, counts as notifying. Function literals are separate roots: a
+// closure runs later, when the enclosing lock is no longer
+// (necessarily) held, and deferred calls run at exit.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strconv"
 	"strings"
@@ -37,101 +37,69 @@ var LockedCallbackAnalyzer = &Analyzer{
 	Run:  runLockedCallback,
 }
 
-func runLockedCallback(u *Unit) []Diagnostic {
+func runLockedCallback(ix *funcIndex) []Diagnostic {
+	// notifies maps each function that reaches a callback through
+	// same-package calls to the callback it reaches first.
+	notifies := map[*types.Func]string{}
+	ix.fixpoint(func(r *funcRoot) bool {
+		if notifies[r.fn] != "" {
+			return false
+		}
+		for _, cs := range r.calls {
+			if target := notifyTarget(r.fn.Pkg(), cs.callee, notifies); target != "" {
+				notifies[r.fn] = target
+				return true
+			}
+		}
+		return false
+	})
+
 	var diags []Diagnostic
-	for _, pkg := range u.Pkgs {
-		if !inScope(pkg.Path, lockedCallbackScopes) {
+	for _, r := range ix.roots {
+		if !inScope(r.pkg.Path, lockedCallbackScopes) {
 			continue
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				bodies := []*ast.BlockStmt{fd.Body}
-				for len(bodies) > 0 {
-					body := bodies[0]
-					bodies = bodies[1:]
-					var lits []*ast.BlockStmt
-					diags = append(diags, sweepLocks(u, pkg, body, &lits)...)
-					bodies = append(bodies, lits...)
-				}
+		info := r.pkg.Info
+		fx := lockFacts(info)
+		VisitWithFacts(r.cfg, Forward(r.cfg, locks{}, fx), fx, func(f locks, n ast.Node) {
+			if _, ok := n.(*ast.DeferStmt); ok {
+				return
 			}
-		}
+			each(n, func(call *ast.CallExpr) {
+				f = lockStep(info, f, call, false)
+				fn := funcOf(info, call)
+				if fn == nil || len(f) == 0 {
+					return
+				}
+				target := notifyTarget(r.pkg.Types, fn, notifies)
+				if target == "" {
+					return
+				}
+				if callbackTarget(fn) == "" {
+					target += " invoked via call to " + shortFuncName(fn.FullName())
+				} else {
+					target += " invoked"
+				}
+				held := oneHeld(f)
+				diags = append(diags, ix.diag("lockedcallback", call.Pos(), target+" while "+held.path+
+					" is held (locked at line "+strconv.Itoa(ix.Fset.Position(held.pos).Line)+
+					"); release the lock before notifying observers or telemetry"))
+			})
+		})
 	}
 	return diags
 }
 
-// sweepLocks walks one body in source order tracking held mutexes and
-// reporting callback invocations made while any is held. Nested
-// function literals are collected into lits for separate sweeps.
-func sweepLocks(u *Unit, pkg *Package, body *ast.BlockStmt, lits *[]*ast.BlockStmt) []Diagnostic {
-	var diags []Diagnostic
-	held := map[string]token.Pos{}
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			*lits = append(*lits, n.Body)
-			return false
-		case *ast.DeferStmt:
-			// defer mu.Unlock() keeps the lock held to the end of the
-			// function; other deferred calls run outside this sweep, and
-			// deferred closures are swept as separate bodies.
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				*lits = append(*lits, lit.Body)
-			}
-			return false
-		case *ast.CallExpr:
-			fn := funcOf(pkg.Info, n)
-			if fn == nil {
-				return true
-			}
-			if _, kind := mutexOp(fn); kind != "" {
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-					path := types.ExprString(sel.X)
-					if kind == "lock" {
-						held[path] = n.Pos()
-					} else {
-						delete(held, path)
-					}
-				}
-				return true
-			}
-			if target := callbackTarget(fn); target != "" && len(held) > 0 {
-				path, at := oneHeld(held)
-				diags = append(diags, Diagnostic{
-					Analyzer: "lockedcallback",
-					Pos:      u.Fset.Position(n.Pos()),
-					Message: target + " invoked while " + path + " is held (locked at line " +
-						strconv.Itoa(u.Fset.Position(at).Line) + "); release the lock before notifying observers or telemetry",
-				})
-			}
-		}
-		return true
+// notifyTarget returns the callback that calling fn from package pkg
+// invokes: fn itself, or the one a same-package helper reaches.
+func notifyTarget(pkg *types.Package, fn *types.Func, notifies map[*types.Func]string) string {
+	if target := callbackTarget(fn); target != "" {
+		return target
 	}
-	ast.Inspect(body, walk)
-	return diags
-}
-
-// mutexOp classifies fn as a sync.Mutex/RWMutex lock or unlock.
-func mutexOp(fn *types.Func) (recv string, kind string) {
-	named := recvNamed(fn)
-	if named == nil || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", ""
+	if fn.Pkg() == pkg {
+		return notifies[fn.Origin()]
 	}
-	name := named.Obj().Name()
-	if name != "Mutex" && name != "RWMutex" {
-		return "", ""
-	}
-	switch fn.Name() {
-	case "Lock", "RLock":
-		return name, "lock"
-	case "Unlock", "RUnlock":
-		return name, "unlock"
-	}
-	return "", ""
+	return ""
 }
 
 // callbackTarget reports whether fn is an observer/telemetry entry
@@ -140,8 +108,6 @@ func mutexOp(fn *types.Func) (recv string, kind string) {
 func callbackTarget(fn *types.Func) string {
 	named := recvNamed(fn)
 	if named == nil || named.Obj().Pkg() == nil {
-		// Interface methods: receiver is the interface named type, which
-		// recvNamed handles; a nil here means not a method.
 		return ""
 	}
 	obj := named.Obj()
@@ -157,12 +123,12 @@ func callbackTarget(fn *types.Func) string {
 
 // oneHeld picks the report's representative held mutex
 // deterministically (lowest path) — one report per call is enough.
-func oneHeld(held map[string]token.Pos) (string, token.Pos) {
-	var best string
-	for path := range held {
-		if best == "" || path < best {
-			best = path
+func oneHeld(f locks) heldLock {
+	var best heldLock
+	for _, h := range f {
+		if best.path == "" || h.path < best.path {
+			best = h
 		}
 	}
-	return best, held[best]
+	return best
 }

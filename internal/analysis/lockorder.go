@@ -11,11 +11,12 @@ package analysis
 // the scale-out path, and the telemetry collector's mu/rmu/funcStats.mu
 // must stay leaves under it.
 //
-// Mechanics: per function, a forward may-analysis tracks the held-lock
-// set (union join); at every Lock/RLock the analyzer adds held→new
-// edges, and at every statically resolved call it adds held→acquires(g)
-// edges, where acquires(g) is the transitive set of locks g can take
-// (fixpoint over the call-graph approximation). Lock identity is the
+// Mechanics: per root, the lock-held transfer defined here (and shared
+// with lockedcallback and atomicsnapshot) tracks the may-held set; at
+// every Lock/RLock the analyzer adds held→new edges, and at every
+// statically resolved call it adds held→acquires(g) edges, where
+// acquires(g) is the transitive set of locks g can take (the index's
+// call-graph fixpoint). Lock identity is the
 // declared mutex object — the struct field for `s.mu`-style locks, so
 // every instance of a type shares one graph node — and `defer
 // mu.Unlock()` keeps the lock held to function exit. Known
@@ -30,7 +31,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -40,6 +40,81 @@ var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc:  "report mutex acquisition cycles (potential deadlocks) over the whole program",
 	Run:  runLockOrder,
+}
+
+// heldLock is one held mutex: where it was acquired and the code's path
+// to it ("s.mu").
+type heldLock struct {
+	pos  token.Pos
+	path string
+}
+
+// locks is the lock-held fact shared by lockorder, lockedcallback and
+// atomicsnapshot, keyed by the declared mutex object: the struct field
+// for `s.mu`-style locks, so every instance of a type shares one key, or
+// the variable for a bare identifier.
+type locks = set[types.Object, heldLock]
+
+// mutexCall classifies call as a Lock/RLock (lock) or Unlock/RUnlock of
+// a sync mutex whose declared object resolves.
+func mutexCall(info *types.Info, call *ast.CallExpr) (obj types.Object, path string, lock, ok bool) {
+	fn := funcOf(info, call)
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if fn == nil || !isSel {
+		return nil, "", false, false
+	}
+	if named := recvNamed(fn); named == nil || (!isNamedType(named, "sync", "Mutex") && !isNamedType(named, "sync", "RWMutex")) {
+		return nil, "", false, false
+	}
+	switch fn.Name() {
+	case "Lock", "RLock":
+		lock = true
+	case "Unlock", "RUnlock":
+	default:
+		return nil, "", false, false
+	}
+	switch x := sel.X.(type) {
+	case *ast.SelectorExpr:
+		if s, found := info.Selections[x]; found {
+			obj = s.Obj()
+		}
+	case *ast.Ident:
+		obj = info.Uses[x]
+	}
+	return obj, types.ExprString(sel.X), lock, obj != nil
+}
+
+// lockStep applies one call to the lock-held fact: a lock adds its
+// mutex, an unlock removes it unless deferred (`defer mu.Unlock()` keeps
+// the lock held to function exit).
+func lockStep(info *types.Info, f locks, call *ast.CallExpr, deferred bool) locks {
+	switch obj, path, lock, ok := mutexCall(info, call); {
+	case ok && lock:
+		return f.with(obj, heldLock{call.Pos(), path})
+	case ok && !deferred:
+		return f.without(obj)
+	}
+	return f
+}
+
+// eachCall visits the calls of one CFG node in syntactic order, telling
+// whether they belong to a defer statement's deferred call.
+func eachCall(n ast.Node, visit func(call *ast.CallExpr, deferred bool)) {
+	d, deferred := n.(*ast.DeferStmt)
+	if deferred {
+		n = d.Call
+	}
+	each(n, func(call *ast.CallExpr) { visit(call, deferred) })
+}
+
+// lockFacts is the "may be held" analysis of lockorder and
+// lockedcallback. atomicsnapshot applies lockStep under the must join
+// instead: its writer mutex must be held on every path.
+func lockFacts(info *types.Info) Facts[locks] {
+	return setFacts(mayJoin, func(f locks, n ast.Node) locks {
+		eachCall(n, func(call *ast.CallExpr, deferred bool) { f = lockStep(info, f, call, deferred) })
+		return f
+	})
 }
 
 // lockEdge is one observed "to acquired while from is held" site.
@@ -62,247 +137,94 @@ func (g *lockGraph) addEdge(from, to types.Object, e lockEdge) {
 	g.edges[from][to] = append(g.edges[from][to], e)
 }
 
-// heldSet is the dataflow fact: the mutexes that may be held, with the
-// position of the acquisition that added each.
-type heldSet map[types.Object]token.Pos
-
-func (h heldSet) with(obj types.Object, pos token.Pos) heldSet {
-	out := make(heldSet, len(h)+1)
-	for k, v := range h {
-		out[k] = v
+// name registers the display name of a locked mutex on first sight:
+// "pkg.Type.field" for a field, "pkg.var" for a variable.
+func (g *lockGraph) name(info *types.Info, call *ast.CallExpr, obj types.Object) {
+	if _, named := g.names[obj]; named {
+		return
 	}
-	if _, ok := out[obj]; !ok {
-		out[obj] = pos
+	if x, ok := call.Fun.(*ast.SelectorExpr).X.(*ast.SelectorExpr); ok {
+		g.names[obj] = fieldName(info.Selections[x].Recv(), obj, true)
+	} else if obj.Pkg() != nil {
+		g.names[obj] = obj.Pkg().Name() + "." + obj.Name()
+	} else {
+		g.names[obj] = obj.Name()
 	}
-	return out
 }
 
-func (h heldSet) without(obj types.Object) heldSet {
-	if _, ok := h[obj]; !ok {
-		return h
+// fieldName renders "Type.field" for a field selected on a value of
+// type recv, prefixed with the package name when qualified.
+func fieldName(recv types.Type, field types.Object, qualified bool) string {
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
 	}
-	out := make(heldSet, len(h))
-	for k, v := range h {
-		if k != obj {
-			out[k] = v
-		}
+	n, ok := recv.(*types.Named)
+	if !ok {
+		return field.Name()
 	}
-	return out
+	name := n.Obj().Name() + "." + field.Name()
+	if qualified && n.Obj().Pkg() != nil {
+		name = n.Obj().Pkg().Name() + "." + name
+	}
+	return name
 }
 
-func heldJoin(a, b heldSet) heldSet {
-	if len(a) == 0 {
-		return b
-	}
-	out := make(heldSet, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func heldEqual(a, b heldSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func runLockOrder(u *Unit) []Diagnostic {
-	cg := buildCallGraph(u)
+func runLockOrder(ix *funcIndex) []Diagnostic {
 	graph := &lockGraph{
 		names: map[types.Object]string{},
 		edges: map[types.Object]map[types.Object][]lockEdge{},
 	}
 
-	// Phase 1: transitive acquires-sets per declared function.
+	// Transitive acquires-sets per declared function.
 	acquires := map[*types.Func]map[types.Object]bool{}
-	for fn, node := range cg.nodes {
-		set := map[types.Object]bool{}
-		for _, cs := range node.calls {
-			if _, kind := mutexOp(cs.callee); kind == "lock" {
-				if obj, ok := lockObjOfCall(u, node.pkg, cs.call, graph); ok {
-					set[obj] = true
-				}
+	ix.fixpoint(func(r *funcRoot) bool {
+		set := acquires[r.fn]
+		if set == nil {
+			set = map[types.Object]bool{}
+			acquires[r.fn] = set
+		}
+		before := len(set)
+		for _, cs := range r.calls {
+			if obj, _, lock, ok := mutexCall(r.pkg.Info, cs.call); ok && lock {
+				graph.name(r.pkg.Info, cs.call, obj)
+				set[obj] = true
+			}
+			for obj := range acquires[cs.callee] {
+				set[obj] = true
 			}
 		}
-		acquires[fn] = set
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, node := range cg.nodes {
-			set := acquires[fn]
-			for _, cs := range node.calls {
-				for obj := range acquires[cs.callee] {
-					if !set[obj] {
-						set[obj] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
+		return len(set) > before
+	})
 
-	// Phase 2: flow-sensitive held-set analysis of every function body
-	// (and every function literal as a separate root), recording edges.
-	for _, node := range cg.nodes {
-		sweepLockOrder(u, node.pkg, node.decl.Body, graph, acquires)
-	}
-
-	return lockCycles(u, graph)
-}
-
-// sweepLockOrder runs the held-set dataflow over one body and each
-// function literal within it (recursively), adding edges to graph.
-func sweepLockOrder(u *Unit, pkg *Package, body *ast.BlockStmt, graph *lockGraph, acquires map[*types.Func]map[types.Object]bool) {
-	cfg := BuildCFG(body)
-	fx := Facts[heldSet]{
-		Join:  heldJoin,
-		Equal: heldEqual,
-		Transfer: func(f heldSet, n ast.Node) heldSet {
-			deferred := false
-			if d, ok := n.(*ast.DeferStmt); ok {
-				deferred = true
-				n = d.Call
-			}
-			forEachCall(n, func(call *ast.CallExpr) {
-				fn := funcOf(pkg.Info, call)
-				if fn == nil {
-					return
-				}
-				switch _, kind := mutexOp(fn); kind {
-				case "lock":
-					if obj, ok := lockObjOfCall(u, pkg, call, graph); ok {
-						f = f.with(obj, call.Pos())
-					}
-				case "unlock":
-					if deferred {
-						return // defer mu.Unlock(): held to function end
-					}
-					if obj, ok := lockObjOfCall(u, pkg, call, graph); ok {
-						f = f.without(obj)
-					}
-				}
-			})
-			return f
-		},
-	}
-	ins := Forward(cfg, heldSet{}, fx)
-	VisitWithFacts(cfg, ins, fx, func(f heldSet, n ast.Node) {
-		deferred := false
-		if d, ok := n.(*ast.DeferStmt); ok {
-			deferred = true
-			n = d.Call
-		}
-		forEachCall(n, func(call *ast.CallExpr) {
-			fn := funcOf(pkg.Info, call)
-			if fn == nil {
-				return
-			}
-			if _, kind := mutexOp(fn); kind != "" {
-				if kind == "lock" {
-					if obj, ok := lockObjOfCall(u, pkg, call, graph); ok {
+	// Flow-sensitive held-set analysis of every root, recording edges.
+	for _, r := range ix.roots {
+		info := r.pkg.Info
+		fx := lockFacts(info)
+		VisitWithFacts(r.cfg, Forward(r.cfg, locks{}, fx), fx, func(f locks, n ast.Node) {
+			eachCall(n, func(call *ast.CallExpr, deferred bool) {
+				if obj, _, lock, ok := mutexCall(info, call); ok {
+					if lock {
+						graph.name(info, call, obj)
 						for held := range f {
 							graph.addEdge(held, obj, lockEdge{pos: call.Pos()})
 						}
-						f = f.with(obj, call.Pos())
 					}
-				} else if !deferred {
-					if obj, ok := lockObjOfCall(u, pkg, call, graph); ok {
-						f = f.without(obj)
+					f = lockStep(info, f, call, deferred)
+					return
+				}
+				fn := funcOf(info, call)
+				if fn == nil || len(f) == 0 {
+					return
+				}
+				for obj := range acquires[fn] {
+					for held := range f {
+						graph.addEdge(held, obj, lockEdge{pos: call.Pos(), via: fn.FullName()})
 					}
 				}
-				return
-			}
-			if len(f) == 0 {
-				return
-			}
-			for obj := range acquires[fn] {
-				for held := range f {
-					graph.addEdge(held, obj, lockEdge{pos: call.Pos(), via: fn.FullName()})
-				}
-			}
+			})
 		})
-	})
-	for _, lit := range cfg.FuncLits {
-		sweepLockOrder(u, pkg, lit.Body, graph, acquires)
 	}
-}
-
-// forEachCall visits the CallExprs inside a statement-level node in
-// syntactic order, not descending into function literals.
-func forEachCall(n ast.Node, visit func(*ast.CallExpr)) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := m.(*ast.CallExpr); ok {
-			visit(call)
-		}
-		return true
-	})
-}
-
-// lockObjOfCall resolves the mutex operand of a Lock/Unlock call to its
-// declared object and registers a display name for it. `s.mu.Lock()`
-// resolves to the field (all instances share the node); a bare
-// identifier resolves to its variable object.
-func lockObjOfCall(u *Unit, pkg *Package, call *ast.CallExpr, graph *lockGraph) (types.Object, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, false
-	}
-	switch x := sel.X.(type) {
-	case *ast.SelectorExpr:
-		if s, ok := pkg.Info.Selections[x]; ok {
-			obj := s.Obj()
-			if _, named := graph.names[obj]; !named {
-				graph.names[obj] = lockDisplayName(s.Recv(), obj)
-			}
-			return obj, true
-		}
-	case *ast.Ident:
-		if obj := pkg.Info.Uses[x]; obj != nil {
-			if _, named := graph.names[obj]; !named {
-				name := obj.Name()
-				if obj.Pkg() != nil {
-					name = obj.Pkg().Name() + "." + name
-				}
-				graph.names[obj] = name
-			}
-			return obj, true
-		}
-	}
-	return nil, false
-}
-
-// lockDisplayName renders "pkg.Type.field" for a field-based mutex.
-func lockDisplayName(recv types.Type, field types.Object) string {
-	t := recv
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		name := n.Obj().Name() + "." + field.Name()
-		if n.Obj().Pkg() != nil {
-			name = n.Obj().Pkg().Name() + "." + name
-		}
-		return name
-	}
-	return field.Name()
+	return lockCycles(ix, graph)
 }
 
 // lockCycles finds strongly connected components of the lock graph and
@@ -310,7 +232,7 @@ func lockDisplayName(recv types.Type, field types.Object) string {
 // minority direction is reported against the dominant one; self-edges
 // (re-acquiring a held mutex) and larger cycles report every
 // participating edge.
-func lockCycles(u *Unit, g *lockGraph) []Diagnostic {
+func lockCycles(ix *funcIndex, g *lockGraph) []Diagnostic {
 	var diags []Diagnostic
 
 	// Self-edges first: acquiring a lock already held can self-deadlock
@@ -321,12 +243,8 @@ func lockCycles(u *Unit, g *lockGraph) []Diagnostic {
 				continue
 			}
 			for _, s := range sites {
-				diags = append(diags, Diagnostic{
-					Analyzer: "lockorder",
-					Pos:      u.Fset.Position(s.pos),
-					Message: g.names[from] + " acquired while already held" + viaSuffix(s) +
-						"; sync mutexes are not reentrant",
-				})
+				diags = append(diags, ix.diag("lockorder", s.pos, g.names[from]+" acquired while already held"+
+					viaSuffix(s)+"; sync mutexes are not reentrant"))
 			}
 		}
 	}
@@ -353,20 +271,10 @@ func lockCycles(u *Unit, g *lockGraph) []Diagnostic {
 				} else {
 					msg += "; this edge closes a lock-order cycle"
 				}
-				diags = append(diags, Diagnostic{Analyzer: "lockorder", Pos: u.Fset.Position(s.pos), Message: msg})
+				diags = append(diags, ix.diag("lockorder", s.pos, msg))
 			}
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Message < b.Message
-	})
 	return diags
 }
 

@@ -22,36 +22,23 @@ var MapOrderAnalyzer = &Analyzer{
 	Run:  runMapOrder,
 }
 
-func runMapOrder(u *Unit) []Diagnostic {
+func runMapOrder(ix *funcIndex) []Diagnostic {
 	var diags []Diagnostic
-	for _, pkg := range u.Pkgs {
-		if !inScope(pkg.Path, deterministicScopes) {
+	for _, r := range ix.roots {
+		if r.fn == nil || !inScope(r.pkg.Path, deterministicScopes) {
 			continue
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+		sorted := sortedObjects(r.pkg.Info, r.body)
+		ast.Inspect(r.body, func(n ast.Node) bool {
+			if rs, ok := n.(*ast.RangeStmt); ok {
+				if t := r.pkg.Info.TypeOf(rs.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						diags = append(diags, checkMapRange(ix, r.pkg, rs, sorted)...)
+					}
 				}
-				sorted := sortedObjects(pkg.Info, fd.Body)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					rs, ok := n.(*ast.RangeStmt)
-					if !ok {
-						return true
-					}
-					t := pkg.Info.TypeOf(rs.X)
-					if t == nil {
-						return true
-					}
-					if _, isMap := t.Underlying().(*types.Map); !isMap {
-						return true
-					}
-					diags = append(diags, checkMapRange(u, pkg, rs, sorted)...)
-					return true
-				})
 			}
-		}
+			return true
+		})
 	}
 	return diags
 }
@@ -67,14 +54,10 @@ var outputFuncs = map[string]bool{
 }
 
 // checkMapRange inspects one map-range body for order-dependent sinks.
-func checkMapRange(u *Unit, pkg *Package, rs *ast.RangeStmt, sorted map[types.Object]bool) []Diagnostic {
+func checkMapRange(ix *funcIndex, pkg *Package, rs *ast.RangeStmt, sorted map[types.Object]bool) []Diagnostic {
 	var diags []Diagnostic
 	report := func(pos token.Pos, msg string) {
-		diags = append(diags, Diagnostic{
-			Analyzer: "maporder",
-			Pos:      u.Fset.Position(pos),
-			Message:  msg + " inside iteration over map " + types.ExprString(rs.X) + "; sort the keys first",
-		})
+		diags = append(diags, ix.diag("maporder", pos, msg+" inside iteration over map "+types.ExprString(rs.X)+"; sort the keys first"))
 	}
 	body := rs.Body
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -83,7 +66,7 @@ func checkMapRange(u *Unit, pkg *Package, rs *ast.RangeStmt, sorted map[types.Ob
 			// x = append(x, ...) escaping the loop body.
 			for i, rhs := range n.Rhs {
 				call, ok := rhs.(*ast.CallExpr)
-				if !ok || !isBuiltinAppend(pkg.Info, call) || i >= len(n.Lhs) {
+				if !ok || !isBuiltin(pkg.Info, call, "append") || i >= len(n.Lhs) {
 					continue
 				}
 				obj := rootObject(pkg.Info, n.Lhs[i])
@@ -150,15 +133,6 @@ func sortedObjects(info *types.Info, body *ast.BlockStmt) map[types.Object]bool 
 		return true
 	})
 	return out
-}
-
-func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "append"
 }
 
 // rootObject resolves the object an assignment target ultimately names:

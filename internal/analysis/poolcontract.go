@@ -42,6 +42,10 @@ package analysis
 // per-body (a helper that Gets and returns hands an untracked value to
 // its caller); clearing through a helper function is not seen. Suppress
 // with //lint:ignore poolcontract when a helper owns the discipline.
+//
+// Rows resolve through the shared contract resolver: a pool variable,
+// pooled type or acquire method that no longer exists makes its row a
+// stale-row diagnostic instead of silently switching the rule off.
 
 import (
 	"go/ast"
@@ -57,41 +61,78 @@ var PoolContractAnalyzer = &Analyzer{
 	Run:  runPoolContract,
 }
 
-func runPoolContract(u *Unit) []Diagnostic {
-	table := u.Pools
+// schedPool is one resolved PoolScheduled row.
+type schedPool struct {
+	*PoolContract
+	objs map[types.Object]bool // the pooled type name and the acquire methods
+}
+
+func runPoolContract(ix *funcIndex) []Diagnostic {
+	table := ix.Pools
 	if table == nil {
 		table = PoolContracts
 	}
-	var scheduled []*PoolContract
+	var diags []Diagnostic
+	var scheduled []*schedPool
+	syncVars := map[types.Object]*PoolContract{}
 	for i := range table {
-		if table[i].Kind == PoolScheduled {
-			scheduled = append(scheduled, &table[i])
+		c := &table[i]
+		if c.Kind == PoolSync {
+			objs, stale := ix.resolveRow("poolcontract", "PoolContract", c.PoolVar, c.Scope, func(p *types.Package) []types.Object {
+				if obj, ok := p.Scope().Lookup(c.PoolVar).(*types.Var); ok && isNamedType(obj.Type(), "sync", "Pool") {
+					return []types.Object{obj}
+				}
+				return nil
+			})
+			diags = append(diags, stale...)
+			for _, obj := range objs {
+				syncVars[obj] = c
+			}
+			continue
+		}
+		objs, stale := ix.resolveRow("poolcontract", "PoolContract", pooledPtrDisplay(c), []string{c.TypePkg}, func(p *types.Package) []types.Object {
+			tn := lookupType(p, c.TypeName)
+			if tn == nil {
+				return nil
+			}
+			objs := []types.Object{tn}
+			for _, name := range c.AcquireFuncs {
+				m := lookupMethod(p, name)
+				if m == nil {
+					return nil
+				}
+				objs = append(objs, m)
+			}
+			return objs
+		})
+		diags = append(diags, stale...)
+		if len(objs) > 0 {
+			sp := &schedPool{c, map[types.Object]bool{}}
+			for _, obj := range objs {
+				sp.objs[obj] = true
+			}
+			scheduled = append(scheduled, sp)
 		}
 	}
-	syncVars := resolveSyncPools(u, table)
 
-	var diags []Diagnostic
-	for _, pkg := range u.Pkgs {
-		var inPkg []*PoolContract
+	for _, r := range ix.roots {
 		for _, c := range scheduled {
-			if len(c.Scope) == 0 || inScope(pkg.Path, c.Scope) {
-				inPkg = append(inPkg, c)
+			if inScope(r.pkg.Path, c.Scope) {
+				diags = append(diags, checkPooledStores(ix, r, c)...)
+				diags = append(diags, checkCancelSites(ix, r, c)...)
 			}
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				for _, c := range inPkg {
-					diags = append(diags, sweepScheduled(u, pkg, fd.Body, c)...)
-				}
-				diags = append(diags, sweepSyncPool(u, pkg, fd.Body, syncVars)...)
-			}
+		if len(syncVars) > 0 {
+			diags = append(diags, sweepSyncPool(ix, r, syncVars)...)
 		}
 	}
 	return diags
+}
+
+// isNamedType reports whether t is the named type pkgPath.name.
+func isNamedType(t types.Type, pkgPath, name string) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
 }
 
 // ---------------------------------------------------------------------
@@ -106,101 +147,80 @@ func pooledPtrDisplay(c *PoolContract) string {
 	return "*" + base + "." + c.TypeName
 }
 
-// sweepScheduled checks one body (and, recursively, its function
-// literals — each a separate flow root) against one scheduled contract.
-func sweepScheduled(u *Unit, pkg *Package, body *ast.BlockStmt, c *PoolContract) []Diagnostic {
-	cfg := BuildCFG(body)
-	am := buildAliasMap(pkg.Info, body)
-	var diags []Diagnostic
-	diags = append(diags, checkPooledStores(u, pkg, cfg, c)...)
-	diags = append(diags, checkCancelSites(u, pkg, cfg, am, c)...)
-	for _, lit := range cfg.FuncLits {
-		diags = append(diags, sweepScheduled(u, pkg, lit.Body, c)...)
-	}
-	return diags
-}
-
 // checkPooledStores finds `x.f = acquire(..., func(){...})` stores into
 // pooled-type fields and verifies the callback clears the field on
 // every path.
-func checkPooledStores(u *Unit, pkg *Package, cfg *CFG, c *PoolContract) []Diagnostic {
+func checkPooledStores(ix *funcIndex, r *funcRoot, c *schedPool) []Diagnostic {
+	info := r.pkg.Info
 	var diags []Diagnostic
-	for _, blk := range cfg.Blocks {
-		for _, n := range blk.Nodes {
-			forEachAssign(n, func(as *ast.AssignStmt) {
-				if len(as.Lhs) != len(as.Rhs) {
-					return
-				}
-				for i, rhs := range as.Rhs {
-					call, ok := rhs.(*ast.CallExpr)
-					if !ok || !isAcquireCall(pkg.Info, call, c) {
-						continue
-					}
-					lit := callbackLit(call)
-					// Scalar pooled-field store.
-					if sel, ok := as.Lhs[i].(*ast.SelectorExpr); ok {
-						if field, base, ok := pooledField(pkg, sel, c); ok {
-							if lit == nil {
-								continue // named callback: not statically matchable
-							}
-							if !callbackClearsField(pkg, lit, field) {
-								diags = append(diags, Diagnostic{
-									Analyzer: "poolcontract",
-									Pos:      u.Fset.Position(as.Pos()),
-									Message: "callback of the event stored in " + base + "." + field.Name() +
-										" does not clear the stored reference on every path; pooled events are recycled after firing — assign " +
-										base + "." + field.Name() + " = nil in the callback",
-								})
-							}
-							continue
-						}
-					}
-					// Container store: x.f[k] = acquire(...).
-					if idx, ok := as.Lhs[i].(*ast.IndexExpr); ok {
-						diags = append(diags, checkContainerStore(u, pkg, as, idx.X, lit, c)...)
-					}
-				}
-				// append form: x.f = append(x.f, acquire(...)).
-				for i, rhs := range as.Rhs {
-					call, ok := rhs.(*ast.CallExpr)
-					if !ok || !isBuiltinAppend(pkg.Info, call) || len(call.Args) < 2 {
-						continue
-					}
-					for _, arg := range call.Args[1:] {
-						inner, ok := arg.(*ast.CallExpr)
-						if !ok || !isAcquireCall(pkg.Info, inner, c) {
-							continue
-						}
-						diags = append(diags, checkContainerStore(u, pkg, as, as.Lhs[i], callbackLit(inner), c)...)
-					}
-				}
-			})
+	each(r.body, func(as *ast.AssignStmt) {
+		if len(as.Lhs) != len(as.Rhs) {
+			return
 		}
-	}
+		for i, rhs := range as.Rhs {
+			call, ok := rhs.(*ast.CallExpr)
+			if !ok || !c.isAcquireCall(info, call) {
+				continue
+			}
+			lit := callbackLit(call)
+			// Scalar pooled-field store.
+			if sel, ok := as.Lhs[i].(*ast.SelectorExpr); ok {
+				if field, base, ok := c.pooledField(info, sel); ok {
+					if lit != nil && !ix.callbackClearsField(info, lit, field) {
+						diags = append(diags, ix.diag("poolcontract", as.Pos(), "callback of the event stored in "+
+							base+"."+field.Name()+" does not clear the stored reference on every path; pooled events are recycled after firing — assign "+
+							base+"."+field.Name()+" = nil in the callback"))
+					}
+					continue // a named callback is not statically matchable
+				}
+			}
+			// Container store: x.f[k] = acquire(...).
+			if idx, ok := as.Lhs[i].(*ast.IndexExpr); ok {
+				diags = append(diags, checkContainerStore(ix, info, as, idx.X, lit, c)...)
+			}
+		}
+		// append form: x.f = append(x.f, acquire(...)).
+		for i, rhs := range as.Rhs {
+			call, ok := rhs.(*ast.CallExpr)
+			if !ok || !isBuiltin(info, call, "append") || len(call.Args) < 2 {
+				continue
+			}
+			for _, arg := range call.Args[1:] {
+				if inner, ok := arg.(*ast.CallExpr); ok && c.isAcquireCall(info, inner) {
+					diags = append(diags, checkContainerStore(ix, info, as, as.Lhs[i], callbackLit(inner), c)...)
+				}
+			}
+		}
+	})
 	return diags
 }
 
 // checkContainerStore flags acquire results retained in slice/map
 // struct fields unless the callback visibly mutates the container.
-func checkContainerStore(u *Unit, pkg *Package, at ast.Node, container ast.Expr, lit *ast.FuncLit, c *PoolContract) []Diagnostic {
+func checkContainerStore(ix *funcIndex, info *types.Info, at ast.Node, container ast.Expr, lit *ast.FuncLit, c *schedPool) []Diagnostic {
 	sel, ok := container.(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
-	field, base, ok := pooledContainerField(pkg, sel, c)
-	if !ok {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
 		return nil
 	}
-	if lit != nil && mutatesContainer(pkg, lit, field) {
+	var elem types.Type
+	switch t := s.Obj().Type().Underlying().(type) {
+	case *types.Slice:
+		elem = t.Elem()
+	case *types.Map:
+		elem = t.Elem()
+	}
+	field := s.Obj()
+	if elem == nil || !c.isPooledPtr(elem) || (lit != nil && mutatesContainer(info, lit, field)) {
 		return nil
 	}
-	return []Diagnostic{{
-		Analyzer: "poolcontract",
-		Pos:      u.Fset.Position(at.Pos()),
-		Message: pooledPtrDisplay(c) + " stored into long-lived container " + base + "." + field.Name() +
-			" with no clearing in the callback; recycled events make stale container entries cancel unrelated work — " +
-			"remove the entry when the callback fires or use a scalar field",
-	}}
+	return []Diagnostic{ix.diag("poolcontract", at.Pos(), pooledPtrDisplay(c.PoolContract)+
+		" stored into long-lived container "+types.ExprString(sel.X)+"."+field.Name()+
+		" with no clearing in the callback; recycled events make stale container entries cancel unrelated work — "+
+		"remove the entry when the callback fires or use a scalar field")}
 }
 
 // cancelKey identifies one outstanding Cancel: the pooled field and the
@@ -210,195 +230,111 @@ type cancelKey struct {
 	base  string
 }
 
-type cancelSet map[cancelKey]token.Pos
-
-func cancelJoin(a, b cancelSet) cancelSet {
-	if len(a) == 0 {
-		return b
-	}
-	out := make(cancelSet, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func cancelEqual(a, b cancelSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // checkCancelSites reports Cancel calls on pooled fields that can reach
-// function exit without the field being re-assigned.
-func checkCancelSites(u *Unit, pkg *Package, cfg *CFG, am *aliasMap, c *PoolContract) []Diagnostic {
-	fx := Facts[cancelSet]{
-		Join:  cancelJoin,
-		Equal: cancelEqual,
-		Transfer: func(f cancelSet, n ast.Node) cancelSet {
-			// Assignments clear before new cancels arm: a statement
-			// mixing both (none exists in practice) errs on reporting.
-			clears := fieldAssignKeys(pkg, n, c)
-			cancels := cancelCalls(pkg, am, n, c)
-			if len(clears) == 0 && len(cancels) == 0 {
-				return f
-			}
-			out := make(cancelSet, len(f)+len(cancels))
-			for k, v := range f {
-				out[k] = v
-			}
-			for _, k := range clears {
-				delete(out, k)
-			}
-			for k, pos := range cancels {
-				if _, ok := out[k]; !ok {
-					out[k] = pos
+// function exit without the field being re-assigned (may-analysis).
+func checkCancelSites(ix *funcIndex, r *funcRoot, c *schedPool) []Diagnostic {
+	info := r.pkg.Info
+	fx := setFacts(mayJoin, func(f set[cancelKey, token.Pos], n ast.Node) set[cancelKey, token.Pos] {
+		// Assignments (nil stores, re-schedules, anything that replaces
+		// the stale reference) clear before new cancels arm: a statement
+		// mixing both (none exists in practice) errs on reporting.
+		each(n, func(as *ast.AssignStmt) {
+			for _, lhs := range as.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					if field, base, ok := c.pooledField(info, sel); ok {
+						f = f.without(cancelKey{field, base})
+					}
 				}
 			}
-			return out
-		},
-	}
-	ins := Forward(cfg, cancelSet{}, fx)
-	exit, ok := ExitFact(cfg, ins)
+		})
+		// A Cancel through a local that aliases a pooled field (`ev :=
+		// h.ev; ev.Cancel()`) counts against the field itself.
+		each(n, func(call *ast.CallExpr) {
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Cancel" {
+				return
+			}
+			fields := []ast.Expr{sel.X}
+			if x, ok := sel.X.(*ast.Ident); ok {
+				fields = nil
+				if obj := info.Uses[x]; obj != nil && c.isPooledPtr(obj.Type()) {
+					for _, src := range r.alias.Sources(obj) {
+						if src.Expr != nil && !src.Elem {
+							fields = append(fields, unwrapAlias(src.Expr))
+						}
+					}
+				}
+			}
+			for _, e := range fields {
+				if fieldSel, ok := e.(*ast.SelectorExpr); ok {
+					if field, base, ok := c.pooledField(info, fieldSel); ok {
+						f = f.with(cancelKey{field, base}, call.Pos())
+					}
+				}
+			}
+		})
+		return f
+	})
+	exit, ok := ExitFact(r.cfg, Forward(r.cfg, nil, fx))
 	if !ok {
 		return nil
 	}
 	var diags []Diagnostic
 	for k, pos := range exit {
-		diags = append(diags, Diagnostic{
-			Analyzer: "poolcontract",
-			Pos:      u.Fset.Position(pos),
-			Message: k.base + "." + k.field.Name() + ".Cancel() can reach function exit without clearing " +
-				k.base + "." + k.field.Name() + "; a cancelled pooled event is recycled once drained — assign nil at the Cancel site",
-		})
+		path := k.base + "." + k.field.Name()
+		diags = append(diags, ix.diag("poolcontract", pos, path+".Cancel() can reach function exit without clearing "+
+			path+"; a cancelled pooled event is recycled once drained — assign nil at the Cancel site"))
 	}
 	return diags
 }
 
-// cancelCalls returns the pooled-field Cancel sites inside node n.
-// A Cancel through a local that aliases a pooled field (the alias pass
-// resolves `ev := h.ev; ev.Cancel()`) counts against the field itself.
-func cancelCalls(pkg *Package, am *aliasMap, n ast.Node, c *PoolContract) map[cancelKey]token.Pos {
-	var out map[cancelKey]token.Pos
-	add := func(k cancelKey, pos token.Pos) {
-		if out == nil {
-			out = map[cancelKey]token.Pos{}
-		}
-		out[k] = pos
-	}
-	forEachCall(n, func(call *ast.CallExpr) {
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Cancel" {
-			return
-		}
-		switch x := sel.X.(type) {
-		case *ast.SelectorExpr:
-			if field, base, ok := pooledField(pkg, x, c); ok {
-				add(cancelKey{field, base}, call.Pos())
-			}
-		case *ast.Ident:
-			obj := pkg.Info.Uses[x]
-			if obj == nil || !isPooledPtr(obj.Type(), c) {
-				return
-			}
-			for _, src := range am.Sources(obj) {
-				if src.Expr == nil || src.Elem {
-					continue
-				}
-				if fieldSel, ok := unwrapAlias(src.Expr).(*ast.SelectorExpr); ok {
-					if field, base, ok := pooledField(pkg, fieldSel, c); ok {
-						add(cancelKey{field, base}, call.Pos())
+// callbackClearsField reports whether every path through the callback
+// assigns the field (must-analysis over the callback's own CFG), under
+// any base: the callback may capture the holder under another name.
+func (ix *funcIndex) callbackClearsField(info *types.Info, lit *ast.FuncLit, field types.Object) bool {
+	cfg := ix.lits[lit].cfg
+	fx := setFacts(mustJoin, func(f objSet, n ast.Node) objSet {
+		each(n, func(as *ast.AssignStmt) {
+			for _, lhs := range as.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					if s, ok := info.Selections[sel]; ok && s.Obj() == field {
+						f = f.with(field, struct{}{})
 					}
 				}
 			}
-		}
+		})
+		return f
 	})
-	return out
-}
-
-// fieldAssignKeys returns the pooled fields (with base paths) assigned
-// in node n — nil stores, re-schedules, anything that replaces the
-// stale reference.
-func fieldAssignKeys(pkg *Package, n ast.Node, c *PoolContract) []cancelKey {
-	var keys []cancelKey
-	forEachAssign(n, func(as *ast.AssignStmt) {
-		for _, lhs := range as.Lhs {
-			if sel, ok := lhs.(*ast.SelectorExpr); ok {
-				if field, base, ok := pooledField(pkg, sel, c); ok {
-					keys = append(keys, cancelKey{field, base})
-				}
-			}
-		}
-	})
-	return keys
-}
-
-// callbackClearsField reports whether every path through the callback
-// assigns the field (must-analysis over the callback's own CFG).
-func callbackClearsField(pkg *Package, lit *ast.FuncLit, field types.Object) bool {
-	cfg := BuildCFG(lit.Body)
-	fx := Facts[bool]{
-		Join:  func(a, b bool) bool { return a && b },
-		Equal: func(a, b bool) bool { return a == b },
-		Transfer: func(f bool, n ast.Node) bool {
-			if f {
-				return true
-			}
-			return assignsField(pkg, n, field)
-		},
-	}
-	ins := Forward(cfg, false, fx)
-	cleared, reachable := ExitFact(cfg, ins)
-	if !reachable {
-		return true // callback never returns; nothing to recycle after
-	}
-	return cleared
-}
-
-// assignsField reports whether node n assigns the given pooled field
-// (any base: the callback may capture the holder under another name).
-func assignsField(pkg *Package, n ast.Node, field types.Object) bool {
-	found := false
-	forEachAssign(n, func(as *ast.AssignStmt) {
-		for _, lhs := range as.Lhs {
-			if sel, ok := lhs.(*ast.SelectorExpr); ok {
-				if s, ok := pkg.Info.Selections[sel]; ok && s.Obj() == field {
-					found = true
-				}
-			}
-		}
-	})
-	return found
+	cleared, reachable := ExitFact(cfg, Forward(cfg, nil, fx))
+	return !reachable || cleared.has(field) // a callback that never returns recycles nothing after
 }
 
 // mutatesContainer reports whether the callback assigns into, deletes
 // from, or re-slices the container field.
-func mutatesContainer(pkg *Package, lit *ast.FuncLit, field types.Object) bool {
+func mutatesContainer(info *types.Info, lit *ast.FuncLit, field types.Object) bool {
+	touches := func(expr ast.Expr) bool {
+		for {
+			switch e := expr.(type) {
+			case *ast.IndexExpr:
+				expr = e.X
+			case *ast.SelectorExpr:
+				s, ok := info.Selections[e]
+				return ok && s.Obj() == field
+			default:
+				return false
+			}
+		}
+	}
 	found := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if touchesField(pkg, lhs, field) {
-					found = true
-				}
+				found = found || touches(lhs)
 			}
 		case *ast.CallExpr:
 			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
-				if touchesField(pkg, n.Args[0], field) {
-					found = true
-				}
+				found = found || touches(n.Args[0])
 			}
 		}
 		return !found
@@ -406,102 +342,30 @@ func mutatesContainer(pkg *Package, lit *ast.FuncLit, field types.Object) bool {
 	return found
 }
 
-// touchesField reports whether expr is (or indexes into) the field.
-func touchesField(pkg *Package, expr ast.Expr, field types.Object) bool {
-	for {
-		switch e := expr.(type) {
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.SelectorExpr:
-			s, ok := pkg.Info.Selections[e]
-			return ok && s.Obj() == field
-		default:
-			return false
-		}
-	}
-}
-
-// forEachAssign visits the assignment statements in a node, not
-// descending into function literals.
-func forEachAssign(n ast.Node, visit func(*ast.AssignStmt)) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if as, ok := m.(*ast.AssignStmt); ok {
-			visit(as)
-		}
-		return true
-	})
-}
-
-// pooledField resolves sel to a struct field of the contract's pooled
-// pointer type.
-func pooledField(pkg *Package, sel *ast.SelectorExpr, c *PoolContract) (types.Object, string, bool) {
-	s, ok := pkg.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil, "", false
-	}
-	if !isPooledPtr(s.Obj().Type(), c) {
+// pooledField resolves sel to a struct field of the pooled pointer type
+// and the textual base it is selected on.
+func (c *schedPool) pooledField(info *types.Info, sel *ast.SelectorExpr) (types.Object, string, bool) {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal || !c.isPooledPtr(s.Obj().Type()) {
 		return nil, "", false
 	}
 	return s.Obj(), types.ExprString(sel.X), true
 }
 
-// pooledContainerField resolves sel to a struct field holding a slice
-// or map of the pooled pointer type.
-func pooledContainerField(pkg *Package, sel *ast.SelectorExpr, c *PoolContract) (types.Object, string, bool) {
-	s, ok := pkg.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil, "", false
-	}
-	switch t := s.Obj().Type().Underlying().(type) {
-	case *types.Slice:
-		if isPooledPtr(t.Elem(), c) {
-			return s.Obj(), types.ExprString(sel.X), true
-		}
-	case *types.Map:
-		if isPooledPtr(t.Elem(), c) {
-			return s.Obj(), types.ExprString(sel.X), true
-		}
-	}
-	return nil, "", false
-}
-
-// isPooledPtr reports whether t is a pointer to the contract's pooled type.
-func isPooledPtr(t types.Type, c *PoolContract) bool {
+// isPooledPtr reports whether t is a pointer to the pooled type.
+func (c *schedPool) isPooledPtr(t types.Type) bool {
 	p, ok := t.(*types.Pointer)
 	if !ok {
 		return false
 	}
 	n, ok := p.Elem().(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Name() == c.TypeName && strings.HasSuffix(n.Obj().Pkg().Path(), c.TypePkg)
+	return ok && c.objs[n.Obj()]
 }
 
-// isAcquireCall reports whether call is one of the contract's acquire
-// functions (recv.method names like "Clock.ScheduleAt").
-func isAcquireCall(info *types.Info, call *ast.CallExpr, c *PoolContract) bool {
+// isAcquireCall reports whether call is one of the acquire methods.
+func (c *schedPool) isAcquireCall(info *types.Info, call *ast.CallExpr) bool {
 	fn := funcOf(info, call)
-	if fn == nil {
-		return false
-	}
-	named := recvNamed(fn)
-	if named == nil || named.Obj().Pkg() == nil || !strings.HasSuffix(named.Obj().Pkg().Path(), c.TypePkg) {
-		return false
-	}
-	want := named.Obj().Name() + "." + fn.Name()
-	for _, a := range c.AcquireFuncs {
-		if a == want {
-			return true
-		}
-	}
-	return false
+	return fn != nil && c.objs[fn.Origin()]
 }
 
 // callbackLit returns the function-literal callback argument of an
@@ -518,308 +382,171 @@ func callbackLit(call *ast.CallExpr) *ast.FuncLit {
 // ---------------------------------------------------------------------
 // PoolSync shape.
 
-// poolState is the tracked lifecycle of one Get-origin value.
-type poolState int8
-
-const (
-	poolLive poolState = iota + 1
-	poolRecycled
-)
-
-// poolFact maps a value's canonical object (alias Root) to its state;
-// union join with recycled dominating (may-analysis: recycled on SOME
-// path makes later uses suspect).
-type poolFact map[types.Object]poolState
-
-func poolJoin(a, b poolFact) poolFact {
-	if len(a) == 0 {
-		return b
-	}
-	out := make(poolFact, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		if v > out[k] {
-			out[k] = v
-		}
-	}
-	return out
+// poolFact tracks Get-origin values by canonical object (alias Root) in
+// two may-sets: a value on some path recycled is suspect even where it
+// may also be live, so "recycled" dominates "live".
+type poolFact struct {
+	live, recycled objSet
 }
 
-func poolEqual(a, b poolFact) bool {
-	if len(a) != len(b) {
-		return false
+func (f poolFact) set(obj types.Object, live, recycled bool) poolFact {
+	f.live, f.recycled = f.live.without(obj), f.recycled.without(obj)
+	if live {
+		f.live = f.live.with(obj, struct{}{})
 	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
+	if recycled {
+		f.recycled = f.recycled.with(obj, struct{}{})
 	}
-	return true
+	return f
 }
 
-// resolveSyncPools maps each contracted package-level sync.Pool
-// variable object to its contract.
-func resolveSyncPools(u *Unit, table []PoolContract) map[types.Object]*PoolContract {
-	out := map[types.Object]*PoolContract{}
-	for i := range table {
-		c := &table[i]
-		if c.Kind != PoolSync {
-			continue
-		}
-		for _, pkg := range u.Pkgs {
-			if pkg.Types == nil {
-				continue
-			}
-			if len(c.Scope) > 0 && !inScope(pkg.Path, c.Scope) {
-				continue
-			}
-			obj := pkg.Types.Scope().Lookup(c.PoolVar)
-			if obj == nil {
-				continue
-			}
-			if named, ok := obj.Type().(*types.Named); !ok || named.Obj().Pkg() == nil ||
-				named.Obj().Pkg().Path() != "sync" || named.Obj().Name() != "Pool" {
-				continue
-			}
-			out[obj] = c
-		}
-	}
-	return out
-}
+func (f poolFact) isLive(obj types.Object) bool { return f.live.has(obj) && !f.recycled.has(obj) }
 
 // syncPoolCall matches `Var.Get()` / `Var.Put(x)` on a contracted pool
 // variable, unwrapping a trailing type assertion on Get.
-func syncPoolCall(pkg *Package, e ast.Expr, pools map[types.Object]*PoolContract) (c *PoolContract, method string, arg ast.Expr, ok bool) {
+func syncPoolCall(info *types.Info, e ast.Expr, pools map[types.Object]*PoolContract) (c *PoolContract, method string, arg ast.Expr) {
 	if ta, isTA := e.(*ast.TypeAssertExpr); isTA {
 		e = ta.X
 	}
 	call, isCall := e.(*ast.CallExpr)
 	if !isCall {
-		return nil, "", nil, false
+		return nil, "", nil
 	}
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel || (sel.Sel.Name != "Get" && sel.Sel.Name != "Put") {
-		return nil, "", nil, false
+	if !isSel {
+		return nil, "", nil
 	}
-	obj := identObj(pkg.Info, sel.X)
-	if obj == nil {
-		return nil, "", nil, false
+	if c = pools[identObj(info, sel.X)]; c == nil {
+		return nil, "", nil
 	}
-	c = pools[obj]
-	if c == nil {
-		return nil, "", nil, false
+	switch {
+	case sel.Sel.Name == "Put" && len(call.Args) == 1:
+		return c, "Put", call.Args[0]
+	case sel.Sel.Name == "Get" && len(call.Args) == 0:
+		return c, "Get", nil
 	}
-	if sel.Sel.Name == "Put" && len(call.Args) == 1 {
-		return c, "Put", call.Args[0], true
-	}
-	if sel.Sel.Name == "Get" && len(call.Args) == 0 {
-		return c, "Get", nil, true
-	}
-	return nil, "", nil, false
+	return nil, "", nil
 }
 
-// sweepSyncPool runs the per-body state machine for every contracted
-// sync.Pool, recursing into function literals as separate roots.
-func sweepSyncPool(u *Unit, pkg *Package, body *ast.BlockStmt, pools map[types.Object]*PoolContract) []Diagnostic {
-	if len(pools) == 0 {
-		return nil
-	}
-	cfg := BuildCFG(body)
-	am := buildAliasMap(pkg.Info, body)
+// sweepSyncPool runs the per-root state machine for every contracted
+// sync.Pool.
+func sweepSyncPool(ix *funcIndex, r *funcRoot, pools map[types.Object]*PoolContract) []Diagnostic {
+	info := r.pkg.Info
+	// rootOf is the canonical object of an expression naming a local
+	// (alias Root, so `y := x` shares x's state), or nil.
+	rootOf := func(e ast.Expr) types.Object { return r.alias.Root(identObj(info, e)) }
 	origin := map[types.Object]*PoolContract{} // tracked root → its pool
-
 	fx := Facts[poolFact]{
-		Join:  poolJoin,
-		Equal: poolEqual,
+		Join: func(a, b poolFact) poolFact {
+			return poolFact{mayJoin(a.live, b.live), mayJoin(a.recycled, b.recycled)}
+		},
+		Equal: func(a, b poolFact) bool { return sameKeys(a.live, b.live) && sameKeys(a.recycled, b.recycled) },
 		Transfer: func(f poolFact, n ast.Node) poolFact {
-			out := f
-			set := func(obj types.Object, s poolState) {
-				next := make(poolFact, len(out)+1)
-				for k, v := range out {
-					next[k] = v
-				}
-				next[obj] = s
-				out = next
-			}
-			clear := func(obj types.Object) {
-				if _, ok := out[obj]; !ok {
-					return
-				}
-				next := make(poolFact, len(out))
-				for k, v := range out {
-					if k != obj {
-						next[k] = v
-					}
-				}
-				out = next
-			}
-			forEachCall(n, func(call *ast.CallExpr) {
-				if c, method, arg, ok := syncPoolCall(pkg, call, pools); ok && method == "Put" {
-					if obj := identObj(pkg.Info, arg); obj != nil {
-						root := am.Root(obj)
+			each(n, func(call *ast.CallExpr) {
+				if c, method, arg := syncPoolCall(info, call, pools); method == "Put" {
+					if root := rootOf(arg); root != nil {
 						origin[root] = c
-						set(root, poolRecycled)
+						f = f.set(root, false, true)
 					}
 				}
 			})
-			forEachAssign(n, func(as *ast.AssignStmt) {
-				rhsFor := func(i int) ast.Expr {
-					if len(as.Lhs) == len(as.Rhs) {
-						return as.Rhs[i]
-					}
-					return nil
-				}
+			each(n, func(as *ast.AssignStmt) {
 				for i, lhs := range as.Lhs {
 					id, isIdent := lhs.(*ast.Ident)
-					if !isIdent || id.Name == "_" {
+					root := rootOf(lhs)
+					if !isIdent || id.Name == "_" || root == nil {
 						continue
 					}
-					obj := identObj(pkg.Info, lhs)
-					if obj == nil {
-						continue
-					}
-					root := am.Root(obj)
-					if rhs := rhsFor(i); rhs != nil {
-						if c, method, _, ok := syncPoolCall(pkg, rhs, pools); ok && method == "Get" {
+					if len(as.Lhs) == len(as.Rhs) {
+						if c, method, _ := syncPoolCall(info, as.Rhs[i], pools); method == "Get" {
 							origin[root] = c
-							set(root, poolLive)
+							f = f.set(root, true, false)
 							continue
 						}
 					}
-					clear(root)
+					f = f.set(root, false, false)
 				}
 			})
 			if send, ok := n.(*ast.SendStmt); ok {
-				if obj := identObj(pkg.Info, send.Value); obj != nil {
-					clear(am.Root(obj))
+				if root := rootOf(send.Value); root != nil {
+					f = f.set(root, false, false)
 				}
 			}
 			if ret, ok := n.(*ast.ReturnStmt); ok {
-				for _, r := range ret.Results {
-					if obj := identObj(pkg.Info, r); obj != nil {
-						root := am.Root(obj)
-						if out[root] == poolLive {
-							clear(root) // ownership transfers to the caller
-						}
+				for _, res := range ret.Results {
+					if root := rootOf(res); root != nil && f.isLive(root) {
+						f = f.set(root, false, false) // ownership transfers to the caller
 					}
 				}
 			}
-			return out
+			return f
 		},
 	}
-	ins := Forward(cfg, poolFact{}, fx)
 
 	var diags []Diagnostic
-	report := func(pos token.Pos, msg string) {
-		diags = append(diags, Diagnostic{Analyzer: "poolcontract", Pos: u.Fset.Position(pos), Message: msg})
-	}
-	VisitWithFacts(cfg, ins, fx, func(f poolFact, n ast.Node) {
+	report := func(pos token.Pos, msg string) { diags = append(diags, ix.diag("poolcontract", pos, msg)) }
+	VisitWithFacts(r.cfg, Forward(r.cfg, poolFact{}, fx), fx, func(f poolFact, n ast.Node) {
 		// Idents exempt from the use-after-recycle scan: Put arguments
 		// (judged by the double-Put check) and assignment targets (a
 		// reassignment re-arms the variable, it does not read it).
 		skip := map[*ast.Ident]bool{}
-		forEachAssign(n, func(as *ast.AssignStmt) {
+		each(n, func(as *ast.AssignStmt) {
 			for _, lhs := range as.Lhs {
 				if id, ok := lhs.(*ast.Ident); ok {
 					skip[id] = true
 				}
 			}
 		})
-		forEachCall(n, func(call *ast.CallExpr) {
-			c, method, arg, ok := syncPoolCall(pkg, call, pools)
-			if !ok || method != "Put" {
+		each(n, func(call *ast.CallExpr) {
+			c, method, arg := syncPoolCall(info, call, pools)
+			if method != "Put" {
 				return
 			}
 			if id, isIdent := unwrapAlias(arg).(*ast.Ident); isIdent {
 				skip[id] = true
 			}
-			obj := identObj(pkg.Info, arg)
-			if obj == nil {
-				return
-			}
-			if f[am.Root(obj)] == poolRecycled {
+			if f.recycled.has(rootOf(arg)) {
 				report(call.Pos(), c.PoolVar+".Put("+nameOf(arg)+") on a path where "+nameOf(arg)+
 					" may already be recycled; a double Put hands the same object to two goroutines")
 			}
 		})
-		if len(f) > 0 {
-			forEachIdentUse(pkg, n, func(id *ast.Ident, obj types.Object) {
-				if skip[id] {
-					return
-				}
-				root := am.Root(obj)
-				if f[root] != poolRecycled {
-					return
-				}
-				c := origin[root]
-				name := "the pool"
-				if c != nil {
-					name = c.PoolVar
-				}
-				report(id.Pos(), id.Name+" used after "+name+".Put may have recycled it; the pool can hand the object to another goroutine at any time")
-			})
-		}
+		each(n, func(id *ast.Ident) {
+			obj, isVar := info.Uses[id].(*types.Var)
+			if !isVar || skip[id] || !f.recycled.has(r.alias.Root(obj)) {
+				return
+			}
+			name := "the pool"
+			if c := origin[r.alias.Root(obj)]; c != nil {
+				name = c.PoolVar
+			}
+			report(id.Pos(), id.Name+" used after "+name+".Put may have recycled it; the pool can hand the object to another goroutine at any time")
+		})
 		if send, ok := n.(*ast.SendStmt); ok {
-			if obj := identObj(pkg.Info, send.Value); obj != nil {
-				root := am.Root(obj)
-				if f[root] == poolLive {
-					if c := origin[root]; c != nil && !c.TransferViaSend {
-						report(send.Pos(), "pooled "+nameOf(send.Value)+" from "+c.PoolVar+
-							" escapes via channel send with no declared ownership transfer; the receiver and the pool would both own it")
-					}
+			if root := rootOf(send.Value); f.isLive(root) {
+				if c := origin[root]; c != nil && !c.TransferViaSend {
+					report(send.Pos(), "pooled "+nameOf(send.Value)+" from "+c.PoolVar+
+						" escapes via channel send with no declared ownership transfer; the receiver and the pool would both own it")
 				}
 			}
 		}
-		forEachAssign(n, func(as *ast.AssignStmt) {
+		each(n, func(as *ast.AssignStmt) {
 			if len(as.Lhs) != len(as.Rhs) {
 				return
 			}
 			for i, lhs := range as.Lhs {
 				switch lhs.(type) {
 				case *ast.SelectorExpr, *ast.IndexExpr:
-				default:
-					continue
-				}
-				obj := identObj(pkg.Info, as.Rhs[i])
-				if obj == nil {
-					continue
-				}
-				root := am.Root(obj)
-				if f[root] == poolLive {
-					if c := origin[root]; c != nil {
-						report(as.Pos(), "pooled "+nameOf(as.Rhs[i])+" from "+c.PoolVar+
-							" escapes into "+types.ExprString(lhs)+"; a stored reference outlives the recycle and aliases a stranger's object")
+					if root := rootOf(as.Rhs[i]); f.isLive(root) {
+						if c := origin[root]; c != nil {
+							report(as.Pos(), "pooled "+nameOf(as.Rhs[i])+" from "+c.PoolVar+
+								" escapes into "+types.ExprString(lhs)+"; a stored reference outlives the recycle and aliases a stranger's object")
+						}
 					}
 				}
 			}
 		})
 	})
-
-	for _, lit := range cfg.FuncLits {
-		diags = append(diags, sweepSyncPool(u, pkg, lit.Body, pools)...)
-	}
 	return diags
-}
-
-// forEachIdentUse visits identifier uses of *variables* in n, not
-// descending into function literals.
-func forEachIdentUse(pkg *Package, n ast.Node, visit func(*ast.Ident, types.Object)) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if id, ok := m.(*ast.Ident); ok {
-			if obj, ok := pkg.Info.Uses[id].(*types.Var); ok {
-				visit(id, obj)
-			}
-		}
-		return true
-	})
 }
 
 // nameOf renders a short display name for a pooled-value expression.

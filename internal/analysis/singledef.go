@@ -28,20 +28,20 @@ type topDecl struct {
 	pos  token.Pos
 }
 
-func runSingleDef(u *Unit) []Diagnostic {
-	invariants := u.Invariants
+func runSingleDef(ix *funcIndex) []Diagnostic {
+	invariants := ix.Invariants
 	if invariants == nil {
 		invariants = SingleDefs
 	}
-	forbidden := u.Forbidden
+	forbidden := ix.Forbidden
 	if forbidden == nil {
 		forbidden = ForbiddenDecls
 	}
 
 	var decls []topDecl
-	for _, pkg := range u.Pkgs {
+	for _, pkg := range ix.Pkgs {
 		for _, f := range pkg.Files {
-			file := u.Fset.Position(f.Pos()).Filename
+			file := ix.Fset.Position(f.Pos()).Filename
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
@@ -93,12 +93,8 @@ func runSingleDef(u *Unit) []Diagnostic {
 				inHome++
 				continue
 			}
-			diags = append(diags, Diagnostic{
-				Analyzer: "singledef",
-				Pos:      u.Fset.Position(h.pos),
-				Message: inv.Kind.String() + " " + inv.DeclName() + " must be defined exactly once, in " +
-					inv.File + " (" + inv.Why + ")",
-			})
+			diags = append(diags, ix.diag("singledef", h.pos, inv.Kind.String()+" "+inv.DeclName()+
+				" must be defined exactly once, in "+inv.File+" ("+inv.Why+")"))
 		}
 		if inHome > 1 {
 			diags = append(diags, Diagnostic{
@@ -117,12 +113,8 @@ func runSingleDef(u *Unit) []Diagnostic {
 			if inScope(d.pkg.Path, []string{fd.AllowedPkg}) {
 				continue
 			}
-			diags = append(diags, Diagnostic{
-				Analyzer: "singledef",
-				Pos:      u.Fset.Position(d.pos),
-				Message: "forbidden " + fd.Kind.String() + " " + fd.Name + " outside " + fd.AllowedPkg +
-					": " + fd.Why,
-			})
+			diags = append(diags, ix.diag("singledef", d.pos, "forbidden "+fd.Kind.String()+" "+fd.Name+
+				" outside "+fd.AllowedPkg+": "+fd.Why))
 		}
 	}
 	return diags

@@ -37,3 +37,27 @@ func (s *state) single(o runtime.Observer, name string, now time.Duration) {
 	o.RequestDropped(name, now) // want "runtime\.Observer\.RequestDropped invoked while s\.mu is held"
 	s.mu.Unlock()
 }
+
+// release drops the lock on the failure branch only: on the success
+// path the notification still runs under s.mu.
+func (s *state) release(name string, now time.Duration, fail bool) {
+	s.mu.Lock()
+	if fail {
+		s.mu.Unlock()
+		return
+	}
+	s.obs.RequestArrived(name, now) // want "runtime\.Observers\.RequestArrived invoked while s\.mu is held"
+	s.mu.Unlock()
+}
+
+// announce is a same-package helper that notifies.
+func (s *state) announce(name string, now time.Duration) {
+	s.obs.RequestDropped(name, now)
+}
+
+// viaHelper notifies through announce while holding the lock.
+func (s *state) viaHelper(name string, now time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.announce(name, now) // want "runtime\.Observers\.RequestDropped invoked via call to \(\*lcbad\.state\)\.announce while s\.mu is held"
+}

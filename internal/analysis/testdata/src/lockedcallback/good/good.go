@@ -40,3 +40,21 @@ func (s *state) read() runtime.Observers {
 	defer s.mu.Unlock()
 	return s.obs
 }
+
+// announce is a same-package helper that notifies.
+func (s *state) announce(name string, now time.Duration) {
+	s.obs.RequestDropped(name, now)
+}
+
+// settle releases the lock on every path before notifying, directly or
+// through the helper.
+func (s *state) settle(name string, now time.Duration, fail bool) {
+	s.mu.Lock()
+	if fail {
+		s.mu.Unlock()
+		s.obs.RequestDropped(name, now)
+		return
+	}
+	s.mu.Unlock()
+	s.announce(name, now)
+}

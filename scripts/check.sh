@@ -3,21 +3,21 @@
 # test suite (plus perfbench's own), a race pass over the
 # concurrently-exercised packages (the shared internal/runtime instance
 # machine and policies, the wall-clock gateway that drives them from many
-# goroutines, and the sharded cluster + scheduler whose FitPool fans
-# fit-queries across workers), a sharded-equivalence smoke
-# (every Schedule decision bit-identical to the single-shard reference),
-# and infless-lint — the AST/types-based
-# analyzer suite (cmd/infless-lint) that replaced the old grep guards:
-# it keeps the lifecycle policies single-sourced, the deterministic
-# packages off the wall clock, placement on the free-capacity index,
-# and observer/telemetry callbacks outside mutex critical sections, and
-# runs the flow-sensitive lockorder / atomicsnapshot / poolcontract /
-# hotalloc / errflow analyzers plus the concurrency-lifecycle trio
-# goroutinelife / chanlife / ctxflow over the whole module. The lint
-# pass fans the 13 analyzers out in parallel (deterministic output) and
-# has a 60s budget so the whole-program passes stay cheap enough to run
-# on every commit. The race pass doubles as the goroutine-leak gate:
-# the NumGoroutine settle-and-compare harnesses around Server.Close,
+# goroutines, the sharded cluster + scheduler whose FitPool fans
+# fit-queries across workers, and the lint suite, whose 13 analyzers
+# read one prebuilt function index at the same time), and infless-lint —
+# the AST/types-based analyzer suite (cmd/infless-lint) that replaced the
+# old grep guards: it keeps the lifecycle policies single-sourced, the
+# deterministic packages off the wall clock, placement on the
+# free-capacity index, and observer/telemetry callbacks outside mutex
+# critical sections, and runs the flow-sensitive lockorder /
+# atomicsnapshot / poolcontract / hotalloc / errflow analyzers plus the
+# concurrency-lifecycle trio goroutinelife / chanlife / ctxflow over the
+# whole module. The lint pass builds the shared function index once,
+# fans the analyzers out in parallel (deterministic output) and has a
+# 60s budget so the whole-program passes stay cheap enough to run on
+# every commit. The race pass doubles as the goroutine-leak gate: the
+# NumGoroutine settle-and-compare harnesses around Server.Close,
 # FitPool.Close and loadgen.Run ride the gateway/cluster/loadgen race
 # runs below.
 set -eu
@@ -53,8 +53,8 @@ echo "== go test -race (sharded control plane: cluster + scheduler)"
 go test -race -short ./internal/cluster/ ./internal/scheduler/
 echo "== go test -race (parallel experiment runner)"
 go test -race -short -run 'TestRunStreamOrdered|TestParallelForCoversAllIndices|TestParallelAllDeterministic' ./internal/bench/
-echo "== sharded-equivalence smoke"
-go test -short -run 'Sharded|ShardEdge|ShardBounds|ShardMemory|ShardRange|ShardWholeShard|PrefixCut' ./internal/cluster/ ./internal/scheduler/
+echo "== go test -race (lint analyzers sharing one function index)"
+go test -race -run 'TestDriverCleanOnRepo|TestDriverSeededFlowViolations' ./internal/analysis/
 echo "== fig16t determinism smoke (tiered cold start, -parallel 1 vs 4)"
 go run ./cmd/infless-bench -run fig16t -parallel 1 >/tmp/fig16t.p1 2>/dev/null
 go run ./cmd/infless-bench -run fig16t -parallel 4 >/tmp/fig16t.p4 2>/dev/null
